@@ -396,6 +396,31 @@ def finalize_weights(scaffold: TreeScaffold, total_sentences: int) -> East:
     return East(scaffold.intent, root)
 
 
+def _wrap_planned_swaps(tree: East, scaffold: TreeScaffold) -> East:
+    """Wrap each planned spine swap in an exchangeable node.
+
+    grow() merged the swapped templates into the spine, so the planned pair
+    must be the one wrapped. detect_exchangeable alone wraps the leftmost
+    reversible pair, which loses the swapped order when an entity could
+    pair either way (spine B A B with swap A B).
+    """
+    if not scaffold.swap_pairs:
+        return tree
+    # the spine is the first alignment; its direct entity children are the
+    # spine labels in order, and the region between a swapped pair is empty
+    spine = tree.root if tree.root.kind == ORDER else tree.root.children[0]
+    children = list(spine.children)
+    entities = [i for i, child in enumerate(children) if child.kind == ENTITY]
+    for p in sorted(scaffold.swap_pairs, reverse=True):
+        i = entities[p]
+        children[i:i + 2] = [exchangeable(children[i], children[i + 1])]
+    spine = replace(spine, children=tuple(children))
+    if tree.root.kind == ORDER:
+        return East(tree.intent, spine)
+    root = replace(tree.root, children=(spine,) + tree.root.children[1:])
+    return East(tree.intent, root)
+
+
 def detect_exchangeable(tree: East, templates: Sequence[SentenceTemplate]) -> East:
     """Wrap adjacent entity-leaf pairs realized in both orders.
 
@@ -456,6 +481,7 @@ def build(dataset: Dataset, config: BuilderConfig | None = None) -> dict[str, Ea
             grow(scaffold, template)
         total = sum(t.source_count for t in templates)
         tree = finalize_weights(scaffold, total)
+        tree = _wrap_planned_swaps(tree, scaffold)
         tree = detect_exchangeable(tree, templates)
         trees[intent] = check_valid(tree)
     return trees

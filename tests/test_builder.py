@@ -327,6 +327,20 @@ class TestSwapPlanning:
             assert template in language
         return tree, language
 
+    def test_planned_swap_wrapped_over_reversible_left_neighbor(self):
+        # spine B A B with the swap (A, B) planned; B-A is also seen both
+        # ways, but wrapping it instead would lose the template B B A
+        tree, _ = self.run(
+            [
+                sentence("x", ("p", "B-B"), ("p", "B-A"), ("p", "B-B"),
+                         ("go", "O"), ("go", "O")),
+                sentence("x", ("go", "O")),
+                sentence("x", ("p", "B-B"), ("p", "B-B"), ("p", "B-A")),
+            ]
+        )
+        (node,) = exchangeable_nodes(tree)
+        assert [c.slot for c in node.children] == ["A", "B"]
+
     def test_forward_middle_content_blocks_wrapping(self):
         # (A x B) and (B A): no template realizes A-B adjacently, so the
         # reversal stays a branch and nothing is wrapped
