@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cached_property
+from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
 from .corpus import Literal, Placeholder, Segment, SentenceTemplate
@@ -64,10 +65,53 @@ def entity(slot: str, weight: float = 1.0) -> Node:
     return Node(ENTITY, weight, slot=slot)
 
 
+@dataclass(frozen=True, slots=True)
+class CompiledNode:
+    """One node of a tree's sampling form: the static facts a traversal needs.
+
+    ``cum`` holds cumulative child weights on pickone nodes and cumulative
+    phrase counts on fixed nodes; ``phrases`` holds, per fixed phrase, its
+    token tuple and the matching tuple of "O" tags.
+    """
+
+    kind: str
+    dropout: float  # 0.0 when the node is never skipped
+    children: tuple["CompiledNode", ...]
+    cum: tuple[float, ...]
+    phrases: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    slot: str | None
+
+
+def _compile(node: Node) -> CompiledNode:
+    cum: tuple = ()
+    phrases: tuple = ()
+    if node.kind == PICKONE:
+        cum = tuple(accumulate(c.weight for c in node.children))
+    elif node.kind == FIXED:
+        cum = tuple(accumulate((node.dictionary or {}).values()))
+        phrases = tuple(
+            (tuple(parts), ("O",) * len(parts))
+            for parts in (phrase.split(" ") for phrase in node.dictionary or {})
+        )
+    return CompiledNode(
+        node.kind,
+        node.dropout or 0.0,
+        tuple(_compile(c) for c in node.children),
+        cum,
+        phrases,
+        node.slot,
+    )
+
+
 @dataclass(frozen=True)
 class East:
     intent: str
     root: Node
+
+    @cached_property
+    def compiled(self) -> CompiledNode:
+        """The root of the tree's immutable sampling form, built on first use."""
+        return _compile(self.root)
 
 
 def iter_nodes(tree: East) -> Iterator[tuple[str, Node]]:

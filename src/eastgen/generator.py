@@ -10,9 +10,15 @@ form is a single in-vocabulary token, re-sample the fill from the form
 plus its k nearest neighbors with probability proportional to cosine
 similarity (the form itself weighs 1.0).
 
+One interpreter samples each tree's compiled form (`East.compiled`); the
+entity fill tables and kNN pools it draws from are built once per batch.
+Only `generate_one` records provenance (the branch choices taken).
+
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
 only Random.random() is consumed, so byte-identical output for a given
-seed is reproducible across platforms and Python versions.
+seed is reproducible across platforms and Python versions. Weighted draws
+bisect cumulative weights with the last cumulative value as the total
+(not `sum()`, whose rounding changed in Python 3.12).
 """
 
 from __future__ import annotations
@@ -20,12 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from itertools import accumulate
+from typing import NamedTuple, Sequence, TextIO
 
 from .corpus import AnnotatedSentence, Dataset, EntityLexicon
-from .east import East, ENTITY, EXCHANGEABLE, FIXED, ORDER, PICKONE
+from .east import CompiledNode, East, ENTITY, EXCHANGEABLE, FIXED, ORDER, PICKONE
 from .embeddings import EmbeddingTable, k_nearest, k_nearest_among
 from .errors import MissingLexiconError
 
@@ -54,12 +62,11 @@ class GenerationConfig:
             raise ValueError("count must be >= 1")
 
 
-@dataclass(frozen=True)
-class GeneratedSentence:
+class GeneratedSentence(NamedTuple):
     tokens: tuple[str, ...]
     slots: tuple[str, ...]
     intent: str
-    provenance: tuple[str, ...]  # structural branch choices along the traversal
+    provenance: tuple[str, ...]  # branch choices; recorded by generate_one only
 
 
 @dataclass
@@ -88,136 +95,125 @@ class GenerationStats:
         }
 
 
-def _rand_index(rng: random.Random, n: int) -> int:
-    return int(rng.random() * n)
+def _draw(cum: Sequence[float], random) -> int:
+    # float residue lands in the last bucket
+    i = bisect_right(cum, random() * cum[-1])
+    return i if i < len(cum) else len(cum) - 1
 
 
-def _weighted_index(rng: random.Random, weights: Sequence[float]) -> int:
-    r = rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1  # float residue lands in the last bucket
-
-
-def _permutation(rng: random.Random, n: int) -> list[int]:
-    idx = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = _rand_index(rng, i + 1)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx
-
-
-class _Filler:
-    """Per-batch caches: fixed-node phrase lists and entity candidate pools."""
+class _Fills:
+    """Per-slot form tables (cumulative counts, a (tokens, tags) pair per
+    form) and kNN pools, built on first use and shared by a batch's intents;
+    a pool depends only on its candidate (and slot, for lexicon neighbors).
+    """
 
     def __init__(self, lexicon: EntityLexicon, table: EmbeddingTable | None,
-                 config: GenerationConfig, stats: GenerationStats | None):
+                 config: GenerationConfig, stats: GenerationStats):
         self.lexicon = lexicon
-        self.table = table
+        self.table = table if config.use_embeddings else None
         self.config = config
         self.stats = stats
-        self._phrases: dict[int, tuple[list[str], list[int]]] = {}
-        self._forms: dict[str, tuple[list[str], list[int]]] = {}
-        self._pools: dict[str, tuple[list[str], list[float]]] = {}
+        self.forms: dict[str, tuple[tuple[int, ...], tuple]] = {}
+        self.pools: dict = {}
 
-    def phrases(self, node) -> tuple[list[str], list[int]]:
-        cached = self._phrases.get(id(node))
-        if cached is None:
-            cached = (list(node.dictionary), list(node.dictionary.values()))
-            self._phrases[id(node)] = cached
-        return cached
+    def load_forms(self, slot: str) -> tuple[tuple[int, ...], tuple]:
+        counter = self.lexicon.entries.get(slot)
+        if not counter:
+            raise MissingLexiconError(slot)
+        forms = [tuple(form.split(" ")) for form in counter]
+        entry = self.forms[slot] = (
+            tuple(accumulate(counter.values())),
+            tuple((t, (f"B-{slot}",) + (f"I-{slot}",) * (len(t) - 1)) for t in forms),
+        )
+        return entry
 
-    def forms(self, slot: str) -> tuple[list[str], list[int]]:
-        cached = self._forms.get(slot)
-        if cached is None:
-            counter = self.lexicon.entries.get(slot)
-            if not counter:
-                raise MissingLexiconError(slot)
-            cached = (list(counter), list(counter.values()))
-            self._forms[slot] = cached
-        return cached
-
-    def pool(self, candidate: str, slot: str) -> tuple[list[str], list[float]]:
-        key = f"{slot}\x00{candidate}" if self.config.neighbors_within_lexicon else candidate
-        cached = self._pools.get(key)
-        if cached is None:
-            if self.config.neighbors_within_lexicon:
-                pool = [f for f in self.forms(slot)[0] if " " not in f]
-                neighbors = k_nearest_among(self.table, candidate, self.config.k, pool)
+    def substitute(self, slot: str, tokens: tuple[str, ...], random) -> tuple[str, ...]:
+        """Re-sample a drawn form from itself plus its nearest neighbors."""
+        if len(tokens) > 1:  # no composition rule for multi-token forms
+            self.stats.multi_token_bypasses += 1
+            return tokens
+        candidate = tokens[0]
+        if candidate not in self.table:
+            self.stats.oov_bypasses += 1
+            return tokens
+        within = self.config.neighbors_within_lexicon
+        key = (slot, candidate) if within else candidate
+        pool = self.pools.get(key)
+        if pool is None:
+            if within:
+                forms = [f for f in self.lexicon.entries[slot] if " " not in f]
+                neighbors = k_nearest_among(self.table, candidate, self.config.k, forms)
             else:
                 neighbors = k_nearest(self.table, candidate, self.config.k)
-            tokens = [candidate]
-            sims = [1.0]
-            for token, sim in neighbors:
-                if sim > 0.0:  # similarity doubles as sampling weight
-                    tokens.append(token)
-                    sims.append(sim)
-            cached = (tokens, sims)
-            self._pools[key] = cached
-        return cached
-
-    def fill(self, slot: str, rng: random.Random) -> str:
-        forms, counts = self.forms(slot)
-        if self.config.weighted_lexicon:
-            candidate = forms[_weighted_index(rng, counts)]
-        else:
-            candidate = forms[_rand_index(rng, len(forms))]
-        if not self.config.use_embeddings or self.table is None:
-            return candidate
-        if " " in candidate:  # no composition rule for multi-token forms
-            if self.stats:
-                self.stats.multi_token_bypasses += 1
-            return candidate
-        if candidate not in self.table:
-            if self.stats:
-                self.stats.oov_bypasses += 1
-            return candidate
-        tokens, sims = self.pool(candidate, slot)
-        chosen = tokens[_weighted_index(rng, sims)]
-        if self.stats and chosen != candidate:
+            kept = [(t, sim) for t, sim in neighbors if sim > 0.0]  # sims are weights
+            pool = self.pools[key] = (
+                tuple(accumulate([1.0] + [sim for _, sim in kept])),
+                (tokens,) + tuple((t,) for t, _ in kept),
+            )
+        cum, choices = pool
+        i = _draw(cum, random)
+        if i:
             self.stats.knn_fills += 1
-        return chosen
+        return choices[i]
 
 
-def _expand(node, filler: _Filler, rng: random.Random, apply_dropout: bool,
-            tokens: list[str], slots: list[str], prov: list[str]) -> None:
-    if apply_dropout and node.dropout:
-        if rng.random() < node.dropout:
-            prov.append("drop")
-            return
-        prov.append("keep")
-    kind = node.kind
-    if kind == ORDER:
-        for child in node.children:
-            _expand(child, filler, rng, apply_dropout, tokens, slots, prov)
-    elif kind == PICKONE:
-        i = _weighted_index(rng, [c.weight for c in node.children])
-        prov.append(f"pick:{i}")
-        _expand(node.children[i], filler, rng, apply_dropout, tokens, slots, prov)
-    elif kind == EXCHANGEABLE:
-        perm = _permutation(rng, len(node.children))
-        prov.append("perm:" + ",".join(map(str, perm)))
-        for i in perm:
-            _expand(node.children[i], filler, rng, apply_dropout, tokens, slots, prov)
-    elif kind == FIXED:
-        phrases, counts = filler.phrases(node)
-        j = _weighted_index(rng, counts) if len(phrases) > 1 else 0
-        prov.append(f"phrase:{j}")
-        parts = phrases[j].split(" ")
-        tokens.extend(parts)
-        slots.extend("O" for _ in parts)
-    elif kind == ENTITY:
-        parts = filler.fill(node.slot, rng).split(" ")
-        tokens.append(parts[0])
-        slots.append(f"B-{node.slot}")
-        for part in parts[1:]:
-            tokens.append(part)
-            slots.append(f"I-{node.slot}")
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
+def _interpret(root: CompiledNode, fills: _Fills, rng: random.Random,
+               prov: list[str] | None) -> tuple[list[str], list[str]]:
+    """Sample one traversal of a compiled tree into (tokens, tags), appending
+    branch choices to `prov` unless it is None. Nodes are visited, and
+    random() consumed, in the order of a recursive left-to-right expansion.
+    """
+    random = rng.random
+    slot_forms = fills.forms
+    apply_dropout = fills.config.apply_dropout
+    weighted = fills.config.weighted_lexicon
+    substitute = fills.substitute if fills.table is not None else None
+    tokens: list[str] = []
+    tags: list[str] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.dropout and apply_dropout:
+            dropped = random() < node.dropout
+            if prov is not None:
+                prov.append("drop" if dropped else "keep")
+            if dropped:
+                continue
+        kind = node.kind
+        if kind == FIXED:
+            phrases = node.phrases
+            j = _draw(node.cum, random) if len(phrases) > 1 else 0
+            if prov is not None:
+                prov.append(f"phrase:{j}")
+            phrase_tokens, phrase_tags = phrases[j]
+            tokens += phrase_tokens
+            tags += phrase_tags
+        elif kind == ENTITY:
+            slot = node.slot
+            forms_cum, forms = slot_forms.get(slot) or fills.load_forms(slot)
+            i = _draw(forms_cum, random) if weighted else int(random() * len(forms))
+            fill_tokens, fill_tags = forms[i]
+            tokens += substitute(slot, fill_tokens, random) if substitute else fill_tokens
+            tags += fill_tags
+        elif kind == ORDER:
+            stack += reversed(node.children)
+        elif kind == PICKONE:
+            i = _draw(node.cum, random)
+            if prov is not None:
+                prov.append(f"pick:{i}")
+            stack.append(node.children[i])
+        elif kind == EXCHANGEABLE:
+            children = node.children
+            perm = list(range(len(children)))
+            for i in range(len(perm) - 1, 0, -1):
+                j = int(random() * (i + 1))
+                perm[i], perm[j] = perm[j], perm[i]
+            if prov is not None:
+                prov.append("perm:" + ",".join(map(str, perm)))
+            stack += map(children.__getitem__, reversed(perm))
+        else:
+            raise ValueError(f"unknown node kind {kind!r}")
+    return tokens, tags
 
 
 def generate_one(
@@ -226,15 +222,13 @@ def generate_one(
     table: EmbeddingTable | None,
     config: GenerationConfig,
     rng: random.Random,
-    _filler: _Filler | None = None,
 ) -> GeneratedSentence:
-    """Sample one labeled sentence by a weighted traversal of the tree."""
-    filler = _filler or _Filler(lexicon, table, config, None)
-    tokens: list[str] = []
-    slots: list[str] = []
+    """Sample one labeled sentence by a weighted traversal of the tree,
+    recording its provenance."""
     prov: list[str] = []
-    _expand(tree.root, filler, rng, config.apply_dropout, tokens, slots, prov)
-    return GeneratedSentence(tuple(tokens), tuple(slots), tree.intent, tuple(prov))
+    fills = _Fills(lexicon, table, config, GenerationStats())
+    tokens, tags = _interpret(tree.compiled, fills, rng, prov)
+    return GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, tuple(prov))
 
 
 def _intent_seed(seed: int, intent: str) -> int:
@@ -263,7 +257,12 @@ def generate_batch(
         lexicon = dataset.lexicon
     intent_sizes = dataset.intent_counts() if dataset is not None else {}
 
+    stats = stats if stats is not None else GenerationStats()
+    fills = _Fills(lexicon, table, config, stats)
     out: list[GeneratedSentence] = []
+    # equal sentences share one object: most draws of a small tree repeat
+    # one, and each kept copy would cost memory and garbage-collector scans
+    distinct: dict[GeneratedSentence, GeneratedSentence] = {}
     for intent in sorted(trees):
         tree = trees[intent]
         if config.count is not None:
@@ -275,14 +274,14 @@ def generate_batch(
                 )
             n = config.factor * intent_sizes[intent]
         rng = random.Random(_intent_seed(config.seed, intent))
-        filler = _Filler(lexicon, table, config, stats)
+        root = tree.compiled
         for _ in range(n):
-            out.append(generate_one(tree, lexicon, table, config, rng, filler))
-        if stats:
-            stats.sentences_per_intent[intent] += n
-    if stats:
-        stats.total += len(out)
-        stats.distinct = len({(s.tokens, s.slots, s.intent) for s in out})
+            tokens, tags = _interpret(root, fills, rng, None)
+            sentence = GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, ())
+            out.append(distinct.setdefault(sentence, sentence))
+        stats.sentences_per_intent[intent] += n
+    stats.total += len(out)
+    stats.distinct = len(distinct)
     return out
 
 
