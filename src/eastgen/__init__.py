@@ -25,6 +25,7 @@ from .corpus import (
     abstract_entities,
     build_dataset,
     parse_conll,
+    parse_lexicon,
     parse_records,
 )
 from .east import (
@@ -95,6 +96,7 @@ __all__ = [
     "match",
     "order",
     "parse_conll",
+    "parse_lexicon",
     "parse_records",
     "pick_one",
     "serialize",

@@ -21,7 +21,14 @@ from pathlib import Path
 
 from . import __version__
 from .builder import BuilderConfig, build, entity_occurrence
-from .corpus import Dataset, EntityLexicon, build_dataset, parse_conll, parse_records
+from .corpus import (
+    Dataset,
+    EntityLexicon,
+    build_dataset,
+    parse_conll,
+    parse_lexicon,
+    parse_records,
+)
 from .east import East, deserialize, entity_slots, iter_nodes, serialize, validate
 from .embeddings import load_embeddings
 from .errors import EastgenError, MissingLexiconError, TreeValidationError
@@ -119,17 +126,6 @@ def _load_trees(path: str) -> dict[str, East]:
     return trees
 
 
-def _load_lexicon(path: str) -> EntityLexicon:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise EastgenError("lexicon file must be an object of {label: {form: count}}")
-    lexicon = EntityLexicon()
-    for label, forms in doc.items():
-        for form, count in forms.items():
-            lexicon.add(label, form, int(count))
-    return lexicon
-
-
 def _dump_lexicon(lexicon: EntityLexicon) -> str:
     doc = {label: dict(counter) for label, counter in lexicon.entries.items()}
     return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
@@ -190,7 +186,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         dataset = _read_corpus(args.corpus, args.format, args.synthetic_intent)
         lexicon = dataset.lexicon
     else:
-        lexicon = _load_lexicon(args.lexicon)
+        lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     _check_lexicon_coverage(trees, lexicon)
 
     table = None
@@ -253,7 +249,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_export_regex(args: argparse.Namespace) -> int:
     trees = _load_trees(args.trees)
-    lexicon = _load_lexicon(args.lexicon)
+    lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
     _check_lexicon_coverage(trees, lexicon)
 
     out = Path(args.out)

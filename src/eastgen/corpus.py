@@ -14,7 +14,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import CorpusParseError, CorpusValidationError, EmptyDatasetError
+from .errors import (
+    CorpusParseError,
+    CorpusValidationError,
+    EastgenError,
+    EmptyDatasetError,
+)
 
 INTENT_HEADER = "# intent:"
 
@@ -95,6 +100,41 @@ class EntityLexicon:
         for label, counter in other.entries.items():
             for surface, count in counter.items():
                 self.add(label, surface, count)
+
+
+def parse_lexicon(text: str) -> EntityLexicon:
+    """Parse a lexicon document: a JSON object of {label: {form: count}}.
+
+    Labels must be non-blank and free of whitespace, forms single-space
+    joins of non-blank tokens, and counts integers of at least 1, so that
+    every form emitted from the lexicon re-parses as the tokens it holds.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise EastgenError(
+            f"lexicon: invalid document: {exc.msg} (line {exc.lineno})"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise EastgenError("lexicon: expected an object of {label: {form: count}}")
+    lexicon = EntityLexicon()
+    for label, forms in doc.items():
+        if label.split() != [label]:
+            raise EastgenError(f"lexicon: malformed label {label!r}")
+        if not isinstance(forms, dict):
+            raise EastgenError(f"lexicon: {label!r}: expected an object of {{form: count}}")
+        for form, count in forms.items():
+            if not form or " ".join(form.split()) != form:
+                raise EastgenError(
+                    f"lexicon: {label!r} form {form!r}: not single-space-joined tokens"
+                )
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise EastgenError(
+                    f"lexicon: {label!r} form {form!r}: count {count!r} "
+                    "is not an integer >= 1"
+                )
+            lexicon.add(label, form, count)
+    return lexicon
 
 
 @dataclass

@@ -161,6 +161,49 @@ class TestGenerate:
         assert set(first) == {"tokens", "slots", "intent"}
 
 
+class TestMalformedLexicon:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"city": ["oslo"]}', "'city'"),
+            ('{"city": {"oslo": 1', "invalid"),
+            ('["oslo"]', "object"),
+            ('{"city": {"oslo": true}}', "'oslo'"),
+            ('{"city": {"oslo": 0}}', "'oslo'"),
+            ('{"city": {"oslo": "2"}}', "'oslo'"),
+            ('{"city": {"oslo": 1.5}}', "'oslo'"),
+            ('{"city": {"": 1}}', "''"),
+            ('{"city": {"new  york": 1}}', "'new  york'"),
+            ('{"city": {" oslo": 1}}', "' oslo'"),
+            ('{"city": {"new\\tyork": 1}}', "'new\\tyork'"),
+            ('{"": {"oslo": 1}}', "''"),
+        ],
+    )
+    def test_generate_exits_one_naming_the_entry(self, built, tmp_path, capsys, text, named):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(text)
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(lexicon),
+            "--no-embeddings", "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: lexicon:")
+        assert named in err
+
+    def test_export_regex_rejects_it_too(self, built, tmp_path, capsys):
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text('{"city_name": {"oslo": -1}}')
+        code = main([
+            "export-regex", "--trees", str(built), "--lexicon", str(lexicon),
+            "--out", str(tmp_path / "regex"),
+        ])
+        assert code == 1
+        assert "'oslo'" in capsys.readouterr().err
+
+
 class TestNerFlow:
     def test_intent_free_corpus_with_synthetic_intent(self, tmp_path):
         ner = tmp_path / "ner.conll"
