@@ -217,6 +217,11 @@ def serialize(tree: East) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_node(obj, path: str) -> Node:
     if not isinstance(obj, dict):
         raise TreeSchemaError("node must be an object", path)
@@ -228,10 +233,10 @@ def _parse_node(obj, path: str) -> Node:
         raise TreeSchemaError(f"unknown node kind {kind!r}", path)
 
     weight = obj.get("weight")
-    if weight is not None and not isinstance(weight, (int, float)):
+    if weight is not None and not _is_number(weight):
         raise TreeSchemaError(f"weight must be a number, got {weight!r}", path)
     dropout = obj.get("dropout")
-    if dropout is not None and not isinstance(dropout, (int, float)):
+    if dropout is not None and not _is_number(dropout):
         raise TreeSchemaError(f"dropout must be a number, got {dropout!r}", path)
 
     children: tuple[Node, ...] = ()
@@ -251,7 +256,7 @@ def _parse_node(obj, path: str) -> Node:
         if not isinstance(dictionary, dict):
             raise TreeSchemaError("fixed node needs a dictionary object", path)
         for phrase, count in dictionary.items():
-            if not isinstance(count, int):
+            if not isinstance(count, int) or isinstance(count, bool):
                 raise TreeSchemaError(
                     f"dictionary count for {phrase!r} must be an integer", path
                 )

@@ -117,6 +117,20 @@ class TestSerialization:
             deserialize(doc)
         assert "extra" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            {"kind": "fixed", "weight": True, "dictionary": {"a": 1}},
+            {"kind": "fixed", "dropout": False, "dictionary": {"a": 1}},
+            {"kind": "fixed", "dictionary": {"a": True}},
+        ],
+    )
+    def test_bools_rejected_where_numbers_belong(self, node):
+        doc = json.dumps({"intent": "x", "root": {"kind": "order", "children": [node]}})
+        with pytest.raises(TreeSchemaError) as err:
+            deserialize(doc)
+        assert err.value.path == "root.children[0]"
+
     def test_schema_error_carries_path(self):
         doc = json.dumps(
             {"intent": "x", "root": {"kind": "order", "children": [{"kind": "bad"}]}}
