@@ -35,11 +35,6 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def vectors(self) -> dict[str, np.ndarray]:
-        """Token -> raw vector view (materialized on demand)."""
-        return {t: self.matrix[i] for t, i in self.index.items()}
-
     def vector(self, token: str) -> np.ndarray:
         try:
             return self.matrix[self.index[token]]
@@ -47,11 +42,10 @@ class EmbeddingTable:
             raise OutOfVocabularyError(token) from None
 
 
-def _make_table(tokens: list[str], rows: list[np.ndarray], dimension: int,
+def _make_table(tokens: list[str], matrix: np.ndarray, dimension: int,
                 skipped: int) -> EmbeddingTable:
-    matrix = np.vstack(rows) if rows else np.zeros((0, dimension))
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    unit = matrix / norms if len(rows) else matrix
+    unit = matrix / norms if len(tokens) else matrix
     return EmbeddingTable(
         dimension=dimension,
         tokens=tokens,
@@ -104,7 +98,17 @@ def load_embeddings(text: str) -> EmbeddingTable:
 
     if dimension is None:
         raise EmbeddingFormatError("no embedding rows found", 1)
-    return _make_table(tokens, rows, dimension, skipped)
+    matrix = np.vstack(rows) if rows else np.zeros((0, dimension))
+    if not np.isfinite(matrix).all():  # one pass; find the line only on failure
+        token = tokens[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
+        lineno = next(
+            lineno
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.split(" ", 1)[0] == token
+            and not np.isfinite([float(v) for v in line.rstrip().split(" ")[1:]]).all()
+        )
+        raise EmbeddingFormatError(f"non-finite component for {token!r}", lineno)
+    return _make_table(tokens, matrix, dimension, skipped)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:

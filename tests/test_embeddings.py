@@ -41,6 +41,12 @@ class TestLoad:
             load_embeddings("a 1 x\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_component_names_line(self, value):
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(f"a 1 0\nb 0 0\nb {value} 1\nc 0 1\n")
+        assert err.value.line == 3
+
     def test_thousand_row_fixture(self, vector_fixture):
         text, vectors = vector_fixture
         table = load_embeddings(text)
