@@ -196,6 +196,21 @@ class TestDistribution:
             counts[generate_one(tree, EntityLexicon(), None, cfg(), rng).tokens] += 1
         assert counts[("a",)] / 20_000 == pytest.approx(0.75, abs=0.02)
 
+    def test_weighted_lexicon_follows_counts(self):
+        tree = East("x", order(entity("city")))
+        lexicon = EntityLexicon()
+        lexicon.add("city", "oslo", 3)
+        lexicon.add("city", "rome", 1)
+        n = 20_000
+        for weighted, expected in ((True, 0.75), (False, 0.5)):
+            rng = random.Random(5)
+            config = cfg(weighted_lexicon=weighted)
+            oslo = sum(
+                generate_one(tree, lexicon, None, config, rng).tokens == ("oslo",)
+                for _ in range(n)
+            )
+            assert oslo / n == pytest.approx(expected, abs=0.02)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_path_distribution_matches_exact_products(self, seed):
         tree = random_tree_with_budget(seed, 10)
