@@ -1,4 +1,5 @@
-"""Entity-aware syntax tree model: validation, JSON round trip, enumeration.
+"""Entity-aware syntax tree model: validation, JSON round trip, enumeration,
+and the compiled form the generator samples.
 
 A tree has one intent and an ordered node structure. Control nodes steer
 traversal (order = concatenate children, pickone = choose one child,
