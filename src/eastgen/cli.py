@@ -29,7 +29,7 @@ from .corpus import (
     parse_lexicon,
     parse_records,
 )
-from .east import East, deserialize, entity_slots, iter_nodes, serialize, validate
+from .east import East, deserialize, entity_slots, iter_nodes, serialize
 from .embeddings import load_embeddings
 from .errors import EastgenError, MissingLexiconError, TreeValidationError
 from .generator import (
@@ -93,8 +93,15 @@ def _write_manifest(
     _atomic_write(manifest_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EastgenError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def _read_corpus(path: str, fmt: str, synthetic_intent: str | None) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     sentences = parse_conll(text) if fmt == "conll" else parse_records(text)
     return build_dataset(sentences, synthetic_intent=synthetic_intent)
 
@@ -117,7 +124,7 @@ def _load_trees(path: str) -> dict[str, East]:
         raise EastgenError(f"no {TREE_SUFFIX} documents under {path}")
     trees: dict[str, East] = {}
     for file in files:
-        tree = deserialize(file.read_text(encoding="utf-8"))
+        tree = deserialize(_read_text(file))
         if tree.intent in trees:
             raise EastgenError(
                 f"duplicate tree for intent {tree.intent!r} in {file.name}"
@@ -152,11 +159,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     outputs: list[Path] = []
     used: set[str] = set()
     for intent, tree in trees.items():
-        violations = validate(tree)
-        if violations:
-            for violation in violations:
-                print(f"{intent}: {violation}", file=sys.stderr)
-            return 1
         path = out / f"{_intent_filename(intent, used)}{TREE_SUFFIX}"
         _atomic_write(path, serialize(tree))
         outputs.append(path)
@@ -186,14 +188,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         dataset = _read_corpus(args.corpus, args.format, args.synthetic_intent)
         lexicon = dataset.lexicon
     else:
-        lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
+        lexicon = parse_lexicon(_read_text(args.lexicon))
     _check_lexicon_coverage(trees, lexicon)
 
     table = None
     if not args.no_embeddings:
         if not args.embeddings:
             raise EastgenError("an embedding file is required unless --no-embeddings")
-        table = load_embeddings(Path(args.embeddings).read_text(encoding="utf-8"))
+        table = load_embeddings(_read_text(args.embeddings))
 
     if dataset is None and args.count is None:
         raise EastgenError("--count is required when only a lexicon is given")
@@ -249,7 +251,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_export_regex(args: argparse.Namespace) -> int:
     trees = _load_trees(args.trees)
-    lexicon = parse_lexicon(Path(args.lexicon).read_text(encoding="utf-8"))
+    lexicon = parse_lexicon(_read_text(args.lexicon))
     _check_lexicon_coverage(trees, lexicon)
 
     out = Path(args.out)
@@ -280,7 +282,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         seen_intents: set[str] = set()
         for file in files:
             try:
-                tree = deserialize(file.read_text(encoding="utf-8"))
+                tree = deserialize(_read_text(file))
             except TreeValidationError as exc:
                 for violation in exc.violations:
                     print(f"{file.name}: {violation}")
@@ -419,10 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EastgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EastgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

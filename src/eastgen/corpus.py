@@ -102,6 +102,16 @@ class EntityLexicon:
                 self.add(label, surface, count)
 
 
+def json_fault(exc: ValueError | RecursionError) -> str:
+    """Describe why json.loads failed: bad syntax, nesting too deep for the
+    decoder, or an integer literal too long to convert."""
+    if isinstance(exc, json.JSONDecodeError):
+        return f"{exc.msg} (line {exc.lineno}, column {exc.colno})"
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return str(exc)
+
+
 def parse_lexicon(text: str) -> EntityLexicon:
     """Parse a lexicon document: a JSON object of {label: {form: count}}.
 
@@ -111,10 +121,8 @@ def parse_lexicon(text: str) -> EntityLexicon:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EastgenError(
-            f"lexicon: invalid document: {exc.msg} (line {exc.lineno})"
-        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise EastgenError(f"lexicon: invalid document: {json_fault(exc)}") from exc
     if not isinstance(doc, dict):
         raise EastgenError("lexicon: expected an object of {label: {form: count}}")
     lexicon = EntityLexicon()
@@ -233,8 +241,8 @@ def parse_records(text: str) -> list[AnnotatedSentence]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusParseError(f"invalid record: {exc.msg}", lineno) from exc
+        except (ValueError, RecursionError) as exc:
+            raise CorpusParseError(f"invalid record: {json_fault(exc)}", lineno) from exc
         if not isinstance(record, dict):
             raise CorpusParseError("record is not an object", lineno)
         unknown = set(record) - {"tokens", "slots", "intent"}

@@ -1,5 +1,5 @@
-"""Entity-aware syntax tree model: validation, JSON round trip, enumeration,
-and the compiled form the generator samples.
+"""Entity-aware syntax tree model: validation, JSON round trip and
+enumeration; each node also carries the static facts the generator samples.
 
 A tree has one intent and an ordered node structure. Control nodes steer
 traversal (order = concatenate children, pickone = choose one child,
@@ -11,12 +11,12 @@ Every node carries a weight in (0, 1] and an optional dropout in [0, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+import sys
+from dataclasses import dataclass, field
 from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
-from .corpus import Literal, Placeholder, Segment, SentenceTemplate
+from .corpus import Literal, Placeholder, Segment, SentenceTemplate, json_fault
 from .errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
 
 ORDER = "order"
@@ -30,6 +30,10 @@ CONTENT_KINDS = (FIXED, ENTITY)
 ROOT_KINDS = (ORDER, PICKONE)
 
 WEIGHT_SUM_TOLERANCE = 1e-9
+# every walker but the sampler recurses; this bound keeps them all far
+# from Python's recursion limit
+MAX_DEPTH = 100
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,20 @@ class Node:
     children: tuple["Node", ...] = ()
     dictionary: dict[str, int] | None = None
     slot: str | None = None
+    # derived for the sampler: cumulative pickone child weights or fixed
+    # phrase counts, and per fixed phrase its tokens with matching "O" tags
+    cum: tuple = field(init=False, repr=False, compare=False)
+    phrases: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = (self.dictionary or {}) if self.kind == FIXED else {}
+        weights = counts.values()
+        if self.kind == PICKONE:
+            weights = [c.weight for c in self.children]
+        object.__setattr__(self, "cum", tuple(accumulate(weights)))
+        object.__setattr__(self, "phrases", tuple(
+            (tuple(p.split(" ")), ("O",) * (p.count(" ") + 1)) for p in counts
+        ))
 
 
 def order(*children: Node, weight: float = 1.0, dropout: float | None = None) -> Node:
@@ -66,53 +84,10 @@ def entity(slot: str, weight: float = 1.0) -> Node:
     return Node(ENTITY, weight, slot=slot)
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledNode:
-    """One node of a tree's sampling form: the static facts a traversal needs.
-
-    ``cum`` holds cumulative child weights on pickone nodes and cumulative
-    phrase counts on fixed nodes; ``phrases`` holds, per fixed phrase, its
-    token tuple and the matching tuple of "O" tags.
-    """
-
-    kind: str
-    dropout: float  # 0.0 when the node is never skipped
-    children: tuple["CompiledNode", ...]
-    cum: tuple[float, ...]
-    phrases: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    slot: str | None
-
-
-def _compile(node: Node) -> CompiledNode:
-    cum: tuple = ()
-    phrases: tuple = ()
-    if node.kind == PICKONE:
-        cum = tuple(accumulate(c.weight for c in node.children))
-    elif node.kind == FIXED:
-        cum = tuple(accumulate((node.dictionary or {}).values()))
-        phrases = tuple(
-            (tuple(parts), ("O",) * len(parts))
-            for parts in (phrase.split(" ") for phrase in node.dictionary or {})
-        )
-    return CompiledNode(
-        node.kind,
-        node.dropout or 0.0,
-        tuple(_compile(c) for c in node.children),
-        cum,
-        phrases,
-        node.slot,
-    )
-
-
 @dataclass(frozen=True)
 class East:
     intent: str
     root: Node
-
-    @cached_property
-    def compiled(self) -> CompiledNode:
-        """The root of the tree's immutable sampling form, built on first use."""
-        return _compile(self.root)
 
 
 def iter_nodes(tree: East) -> Iterator[tuple[str, Node]]:
@@ -129,6 +104,11 @@ def entity_slots(tree: East) -> set[str]:
     return {node.slot for _, node in iter_nodes(tree) if node.kind == ENTITY}
 
 
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate(tree: East) -> list[str]:
     """Return one message per broken invariant; an empty list means valid."""
     violations: list[str] = []
@@ -141,9 +121,13 @@ def validate(tree: East) -> list[str]:
         if node.kind not in CONTROL_KINDS + CONTENT_KINDS:
             violations.append(f"{path}: unknown kind {node.kind!r}")
             continue
-        if not isinstance(node.weight, (int, float)) or not 0 < node.weight <= 1:
+        if path.count("[") == MAX_DEPTH + 1:
+            violations.append(f"{path}: nested deeper than {MAX_DEPTH} levels")
+        if not _is_number(node.weight) or not 0 < node.weight <= 1:
             violations.append(f"{path}: weight {node.weight!r} outside (0, 1]")
-        if node.dropout is not None and not 0 <= node.dropout < 1:
+        if node.dropout is not None and not (
+            _is_number(node.dropout) and 0 <= node.dropout < 1
+        ):
             violations.append(f"{path}: dropout {node.dropout!r} outside [0, 1)")
 
         if node.kind in CONTENT_KINDS:
@@ -166,9 +150,10 @@ def validate(tree: East) -> list[str]:
                 for phrase, count in node.dictionary.items():
                     if not phrase or not all(phrase.split(" ")):
                         violations.append(f"{path}: malformed phrase {phrase!r}")
-                    if not isinstance(count, int) or count < 1:
+                    if not (_is_number(count) and isinstance(count, int)) or count < 1:
                         violations.append(
-                            f"{path}: phrase {phrase!r} count {count!r} below 1"
+                            f"{path}: phrase {phrase!r} count {count!r} "
+                            "is not an integer >= 1"
                         )
         elif node.kind == ENTITY:
             if node.dictionary is not None:
@@ -178,7 +163,7 @@ def validate(tree: East) -> list[str]:
             if node.dropout is not None:
                 violations.append(f"{path}: entity node must not have dropout")
         elif node.kind == PICKONE:
-            total = sum(c.weight for c in node.children if isinstance(c.weight, (int, float)))
+            total = sum(c.weight for c in node.children if _is_number(c.weight))
             if node.children and abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
                 violations.append(
                     f"{path}: pickone child weights sum to {total!r}, expected 1"
@@ -218,14 +203,11 @@ def serialize(tree: East) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _is_number(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _parse_node(obj, path: str) -> Node:
+def _parse_node(obj, path: str, depth: int = 0) -> Node:
     if not isinstance(obj, dict):
         raise TreeSchemaError("node must be an object", path)
+    if depth > MAX_DEPTH:
+        raise TreeSchemaError(f"nested deeper than {MAX_DEPTH} levels", path)
     unknown = set(obj) - _NODE_FIELDS
     if unknown:
         raise TreeSchemaError(f"unknown fields {sorted(unknown)}", path)
@@ -233,12 +215,10 @@ def _parse_node(obj, path: str) -> Node:
     if kind not in CONTROL_KINDS + CONTENT_KINDS:
         raise TreeSchemaError(f"unknown node kind {kind!r}", path)
 
-    weight = obj.get("weight")
-    if weight is not None and not _is_number(weight):
-        raise TreeSchemaError(f"weight must be a number, got {weight!r}", path)
-    dropout = obj.get("dropout")
-    if dropout is not None and not _is_number(dropout):
-        raise TreeSchemaError(f"dropout must be a number, got {dropout!r}", path)
+    weight, dropout = obj.get("weight"), obj.get("dropout")
+    for key, value in (("weight", weight), ("dropout", dropout)):
+        if value is not None and not (_is_number(value) and abs(value) <= FLOAT_MAX):
+            raise TreeSchemaError(f"{key} must be a finite number, got {value!r}", path)
 
     children: tuple[Node, ...] = ()
     dictionary = None
@@ -248,7 +228,8 @@ def _parse_node(obj, path: str) -> Node:
         if not isinstance(raw_children, list) or not raw_children:
             raise TreeSchemaError("control node needs a non-empty children array", path)
         children = tuple(
-            _parse_node(c, f"{path}.children[{i}]") for i, c in enumerate(raw_children)
+            _parse_node(c, f"{path}.children[{i}]", depth + 1)
+            for i, c in enumerate(raw_children)
         )
         if kind == PICKONE:
             children = _distribute_pickone_weights(children, raw_children)
@@ -297,8 +278,8 @@ def deserialize(text: str) -> East:
     """Parse and validate a tree document; raises on schema or invariant errors."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeSchemaError(f"invalid document: {exc.msg}", "root") from exc
+    except (ValueError, RecursionError) as exc:
+        raise TreeSchemaError(f"invalid document: {json_fault(exc)}", "root") from exc
     if not isinstance(doc, dict):
         raise TreeSchemaError("document must be an object", "root")
     unknown = set(doc) - {"intent", "root"}

@@ -10,8 +10,9 @@ form is a single in-vocabulary token, re-sample the fill from the form
 plus its k nearest neighbors with probability proportional to cosine
 similarity (the form itself weighs 1.0).
 
-One interpreter samples each tree's compiled form (`East.compiled`); the
-entity fill tables and kNN pools it draws from are built once per batch.
+One interpreter walks each tree's nodes, reading the cumulative weights
+and pre-split phrases every `Node` derives when it is built; the entity
+fill tables and kNN pools it draws from are built once per batch.
 Only `generate_one` records provenance (the branch choices taken).
 
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
@@ -33,7 +34,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence, TextIO
 
 from .corpus import AnnotatedSentence, Dataset, EntityLexicon
-from .east import CompiledNode, East, ENTITY, EXCHANGEABLE, FIXED, ORDER, PICKONE
+from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .embeddings import EmbeddingTable, k_nearest, k_nearest_among
 from .errors import MissingLexiconError
 
@@ -157,11 +158,12 @@ class _Fills:
         return choices[i]
 
 
-def _interpret(root: CompiledNode, fills: _Fills, rng: random.Random,
+def _interpret(root: Node, fills: _Fills, rng: random.Random,
                prov: list[str] | None) -> tuple[list[str], list[str]]:
-    """Sample one traversal of a compiled tree into (tokens, tags), appending
-    branch choices to `prov` unless it is None. Nodes are visited, and
-    random() consumed, in the order of a recursive left-to-right expansion.
+    """Sample one traversal of the tree under `root` into (tokens, tags),
+    appending branch choices to `prov` unless it is None. Nodes are visited,
+    and random() consumed, in the order of a recursive left-to-right
+    expansion; a dropout of None or 0 never drops its node.
     """
     random = rng.random
     slot_forms = fills.forms
@@ -227,7 +229,7 @@ def generate_one(
     recording its provenance."""
     prov: list[str] = []
     fills = _Fills(lexicon, table, config, GenerationStats())
-    tokens, tags = _interpret(tree.compiled, fills, rng, prov)
+    tokens, tags = _interpret(tree.root, fills, rng, prov)
     return GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, tuple(prov))
 
 
@@ -274,7 +276,7 @@ def generate_batch(
                 )
             n = config.factor * intent_sizes[intent]
         rng = random.Random(_intent_seed(config.seed, intent))
-        root = tree.compiled
+        root = tree.root
         for _ in range(n):
             tokens, tags = _interpret(root, fills, rng, None)
             sentence = GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, ())

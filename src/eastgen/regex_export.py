@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .corpus import EntityLexicon
+from .corpus import EntityLexicon, json_fault
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .errors import EastgenError, MissingLexiconError
 
@@ -185,14 +185,19 @@ def load_bundle(text: str) -> RegexBundle:
     patterns: list[str] = []
     group_slots: list[dict[str, str]] = []
     pending_groups: dict[str, str] = {}
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("# intent:"):
             intent = line[len("# intent:"):].strip()
         elif line.startswith("# groups:"):
-            pending_groups = json.loads(line[len("# groups:"):])
+            try:
+                pending_groups = json.loads(line[len("# groups:"):])
+            except (ValueError, RecursionError) as exc:
+                raise EastgenError(f"bundle line {lineno}: {json_fault(exc)}") from exc
+            if not isinstance(pending_groups, dict):
+                raise EastgenError(f"bundle line {lineno}: groups must be an object")
         elif line.startswith("#"):
             continue
         else:

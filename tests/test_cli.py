@@ -204,6 +204,36 @@ class TestMalformedLexicon:
         assert "'oslo'" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "argv, stream",
+        [
+            (["generate", "--trees", "{built}", "--lexicon", "{bad}", "--no-embeddings",
+              "--seed", "1", "--count", "3", "--out", "{out}"], "err"),
+            (["generate", "--trees", "{built}", "--lexicon", "{built}/lexicon.json",
+              "--embeddings", "{bad}", "--seed", "1", "--count", "3", "--out", "{out}"],
+             "err"),
+            (["generate", "--trees", "{bad}", "--lexicon", "{built}/lexicon.json",
+              "--no-embeddings", "--seed", "1", "--count", "3", "--out", "{out}"], "err"),
+            (["build", "{bad}", "--out", "{out}"], "err"),
+            (["export-regex", "--trees", "{built}", "--lexicon", "{bad}", "--out", "{out}"],
+             "err"),
+            (["validate", "--corpus", "{bad}"], "out"),
+            (["validate", "--trees", "{bad}"], "out"),
+        ],
+    )
+    def test_exits_one_naming_the_file(self, built, tmp_path, capsys, argv, stream):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"caf\xe9\tO\n\xff\n")
+        names = {"built": str(built), "bad": str(bad), "out": str(tmp_path / "out")}
+        code = main([arg.format(**names) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert str(bad) in getattr(captured, stream)
+        assert "UTF-8" in getattr(captured, stream)
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestNerFlow:
     def test_intent_free_corpus_with_synthetic_intent(self, tmp_path):
         ner = tmp_path / "ner.conll"

@@ -1,9 +1,15 @@
 import json
+import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from eastgen import (
     East,
+    EntityLexicon,
+    GenerationConfig,
+    Node,
     Literal,
     Placeholder,
     deserialize,
@@ -12,12 +18,13 @@ from eastgen import (
     exchangeable,
     expand_templates,
     fixed,
+    generate_batch,
     order,
     pick_one,
     serialize,
     validate,
 )
-from eastgen.east import TemplateLanguage
+from eastgen.east import MAX_DEPTH, TemplateLanguage
 from eastgen.errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
 
 from helpers import random_tree, random_tree_with_budget, structural_path_count
@@ -88,6 +95,89 @@ class TestValidate:
         violations = validate(tree)
         assert violations and violations[0].startswith("root.children[0].children[0]:")
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            fixed({"a": 1}, weight=True),
+            fixed({"a": 1}, dropout=False),
+            fixed({"a": True}),
+            Node("fixed", 1.0, "0.5", dictionary={"a": 1}),
+            Node("fixed", "1", dictionary={"a": 1}),
+            fixed({"a": 1.0}),
+        ],
+    )
+    def test_non_numbers_rejected_on_trees_built_in_code(self, node):
+        violations = validate(East("x", order(node)))
+        assert len(violations) == 1
+        assert violations[0].startswith("root.children[0]:")
+
+    def test_bool_weights_do_not_count_toward_pickone_sum(self):
+        tree = East("x", pick_one(fixed({"a": 1}, weight=True)))
+        violations = validate(tree)
+        assert any("weight True" in v for v in violations)
+        assert any("sum to 0" in v for v in violations)
+
+    def test_depth_bound(self):
+        node = fixed({"a": 1})
+        for _ in range(MAX_DEPTH):
+            node = order(node)
+        assert validate(East("x", node)) == []
+        violations = validate(East("x", order(node)))
+        assert len(violations) == 1
+        assert f"nested deeper than {MAX_DEPTH} levels" in violations[0]
+
+
+class TestDerivedFields:
+    def test_replace_recomputes_cumulative_weights(self):
+        pick = pick_one(fixed({"a": 1}, weight=0.5), fixed({"b": 1}, weight=0.5))
+        moved = replace(
+            pick, children=(fixed({"a": 1}, weight=0.25), fixed({"b": 1}, weight=0.75))
+        )
+        assert moved.cum == (0.25, 1.0)
+        assert pick.cum == (0.5, 1.0)
+
+    def test_replace_recomputes_phrases(self):
+        node = replace(fixed({"a": 1}), dictionary={"new york": 2, "oslo": 3})
+        assert node.cum == (2, 5)
+        assert node.phrases == ((("new", "york"), ("O", "O")), (("oslo",), ("O",)))
+
+    def test_derived_fields_stay_out_of_equality_and_repr(self):
+        node = fixed({"a b": 1})
+        assert node == Node("fixed", dictionary={"a b": 1})
+        assert "cum" not in repr(node) and "phrases" not in repr(node)
+
+    def test_replaced_tree_samples_new_weights(self):
+        pick = pick_one(fixed({"a": 1}, weight=0.5), fixed({"b": 1}, weight=0.5))
+        moved = replace(
+            pick, children=(fixed({"a": 1}, weight=0.1), fixed({"b": 1}, weight=0.9))
+        )
+        config = GenerationConfig(seed=4, count=4000, use_embeddings=False)
+        drawn = generate_batch({"x": East("x", moved)}, None, config, lexicon=EntityLexicon())
+        share = Counter(s.tokens for s in drawn)[("b",)] / len(drawn)
+        assert share == pytest.approx(0.9, abs=0.03)
+
+    def test_omitted_weights_are_sampled_at_their_shares(self):
+        doc = json.dumps(
+            {
+                "intent": "x",
+                "root": {
+                    "kind": "pickone",
+                    "children": [
+                        {"kind": "fixed", "weight": 0.5, "dictionary": {"a": 1}},
+                        {"kind": "fixed", "dictionary": {"b": 1}},
+                        {"kind": "fixed", "dictionary": {"c": 1}},
+                    ],
+                },
+            }
+        )
+        tree = deserialize(doc)
+        assert tree.root.cum == pytest.approx((0.5, 0.75, 1.0))
+        config = GenerationConfig(seed=5, count=8000, use_embeddings=False)
+        drawn = generate_batch({"x": tree}, None, config, lexicon=EntityLexicon())
+        counts = Counter(s.tokens[0] for s in drawn)
+        shares = [counts[t] / len(drawn) for t in "abc"]
+        assert shares == pytest.approx([0.5, 0.25, 0.25], abs=0.02)
+
 
 class TestSerialization:
     def test_minimal_round_trip(self):
@@ -130,6 +220,43 @@ class TestSerialization:
         with pytest.raises(TreeSchemaError) as err:
             deserialize(doc)
         assert err.value.path == "root.children[0]"
+
+    def test_weight_beyond_float_range_rejected(self):
+        doc = (
+            '{"intent": "x", "root": {"kind": "order", "children": '
+            '[{"kind": "fixed", "weight": 1' + "0" * 400 + ', "dictionary": {"a": 1}}]}}'
+        )
+        with pytest.raises(TreeSchemaError) as err:
+            deserialize(doc)
+        assert err.value.path == "root.children[0]"
+
+    def test_integer_too_long_to_convert_rejected(self):
+        doc = '{"intent": "x", "root": {"kind": "order", "weight": ' + "1" * 5000 + "}}"
+        with pytest.raises(TreeSchemaError):
+            deserialize(doc)
+
+    @staticmethod
+    def nested(depth: int) -> str:
+        node = '{"kind": "fixed", "dictionary": {"a": 1}}'
+        for _ in range(depth):
+            node = '{"kind": "order", "children": [' + node + "]}"
+        return '{"intent": "x", "root": ' + node + "}"
+
+    def test_tree_at_depth_bound_loads(self):
+        tree = deserialize(self.nested(MAX_DEPTH))
+        assert deserialize(serialize(tree)) == tree
+        assert len(enumerate_language(tree)) == 1
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 600, 5000])
+    def test_deeper_trees_rejected(self, depth):
+        with pytest.raises(TreeSchemaError) as err:
+            deserialize(self.nested(depth))
+        assert "nested" in str(err.value)
+
+    def test_deeply_nested_array_rejected(self):
+        with pytest.raises(TreeSchemaError) as err:
+            deserialize("[" * 100000)
+        assert "nested too deeply" in str(err.value)
 
     def test_schema_error_carries_path(self):
         doc = json.dumps(

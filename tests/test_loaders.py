@@ -1,0 +1,140 @@
+"""Every loader returns a value or raises its EastgenError, whatever the input."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from eastgen import (
+    East,
+    deserialize,
+    load_embeddings,
+    parse_conll,
+    parse_lexicon,
+    parse_records,
+)
+from eastgen.cli import main
+from eastgen.errors import CorpusParseError, EastgenError, TreeSchemaError
+from eastgen.regex_export import load_bundle
+
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=30,
+)
+_kinds = st.sampled_from(["order", "pickone", "exchangeable", "fixed", "entity", "x"])
+_leaf_fields = {
+    "weight": scalars,
+    "dropout": scalars,
+    "slot": scalars,
+    "dictionary": st.dictionaries(st.text(max_size=6), scalars, max_size=3) | json_values,
+}
+# node-shaped objects reach far deeper into the parser than arbitrary values
+tree_nodes = st.recursive(
+    st.fixed_dictionaries({"kind": _kinds}, optional=_leaf_fields),
+    lambda inner: st.fixed_dictionaries(
+        {"kind": _kinds, "children": st.lists(inner, max_size=3) | json_values},
+        optional={"weight": scalars, "dropout": scalars},
+    ),
+    max_leaves=12,
+)
+tree_documents = json_values | st.fixed_dictionaries(
+    {"intent": st.text(max_size=5) | json_values, "root": tree_nodes | json_values}
+)
+
+TEXT_LOADERS = [parse_conll, parse_records, parse_lexicon, deserialize,
+                load_embeddings, load_bundle]
+
+
+def load_or_reject(loader, text):
+    try:
+        return loader(text)
+    except EastgenError:
+        return None
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tree_documents)
+def test_deserialize_any_json_value(doc):
+    tree = load_or_reject(deserialize, json.dumps(doc))
+    assert tree is None or isinstance(tree, East)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_parse_lexicon_any_json_value(doc):
+    load_or_reject(parse_lexicon, json.dumps(doc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(json_values, max_size=3))
+def test_parse_records_any_json_values(docs):
+    load_or_reject(parse_records, "\n".join(json.dumps(d) for d in docs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["# intent: x", "# groups:", "^a$", "#", ""]),
+                max_size=5), json_values)
+def test_load_bundle_any_groups_value(lines, groups):
+    text = "\n".join(
+        f"{line} {json.dumps(groups)}" if line == "# groups:" else line for line in lines
+    )
+    bundle = load_or_reject(load_bundle, text)
+    assert bundle is None or all(isinstance(g, dict) for g in bundle.group_slots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_every_text_loader_any_text(text):
+    for loader in TEXT_LOADERS:
+        load_or_reject(loader, text)
+
+
+@pytest.mark.parametrize(
+    "loader, error",
+    [
+        (deserialize, TreeSchemaError),
+        (parse_lexicon, EastgenError),
+        (parse_records, CorpusParseError),
+    ],
+)
+def test_deeply_nested_json_rejected(loader, error):
+    with pytest.raises(error) as err:
+        loader("[" * 100000)
+    assert "nested too deeply" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        ("[" * 100000, "nested too deeply"),
+        ("{oops", "Expecting property name"),
+        ("[1]", "groups must be an object"),
+    ],
+)
+def test_malformed_bundle_groups_name_the_line(groups, message):
+    with pytest.raises(EastgenError) as err:
+        load_bundle(f"# intent: x\n# groups: {groups}\n^a$\n")
+    assert str(err.value).startswith("bundle line 2: ")
+    assert message in str(err.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=64))
+def test_cli_generate_any_lexicon_bytes(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "x.east.json").write_text(
+        '{"intent": "x", "root": {"kind": "order", "children": '
+        '[{"kind": "entity", "slot": "city"}]}}'
+    )
+    (tmp / "lexicon.json").write_bytes(data)
+    code = main([
+        "generate", "--trees", str(tmp / "x.east.json"),
+        "--lexicon", str(tmp / "lexicon.json"), "--no-embeddings",
+        "--seed", "1", "--count", "2", "--out", str(tmp / "out.conll"),
+    ])
+    assert code in (0, 1)
