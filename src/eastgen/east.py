@@ -50,14 +50,15 @@ class Node:
     phrases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        counts = (self.dictionary or {}) if self.kind == FIXED else {}
-        weights = counts.values()
+        cum = phrases = ()
         if self.kind == PICKONE:
-            weights = [c.weight for c in self.children]
-        object.__setattr__(self, "cum", tuple(accumulate(weights)))
-        object.__setattr__(self, "phrases", tuple(
-            (tuple(p.split(" ")), ("O",) * (p.count(" ") + 1)) for p in counts
-        ))
+            cum = tuple(accumulate([c.weight for c in self.children]))
+        elif self.kind == FIXED and self.dictionary:
+            cum = tuple(accumulate(self.dictionary.values()))
+            phrases = tuple((tuple(p.split(" ")), ("O",) * (p.count(" ") + 1))
+                            for p in self.dictionary)
+        object.__setattr__(self, "cum", cum)
+        object.__setattr__(self, "phrases", phrases)
 
 
 def order(*children: Node, weight: float = 1.0, dropout: float | None = None) -> Node:
