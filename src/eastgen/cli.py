@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import re
 import sys
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__
 from .builder import BuilderConfig, build, entity_occurrence
@@ -31,7 +32,7 @@ from .corpus import (
 )
 from .east import East, deserialize, entity_slots, iter_nodes, serialize
 from .embeddings import load_embeddings
-from .errors import EastgenError, MissingLexiconError, TreeValidationError
+from .errors import EastgenError, MissingLexiconError, TreeSchemaError, TreeValidationError
 from .generator import (
     GenerationConfig,
     GenerationStats,
@@ -59,12 +60,14 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _atomic_write(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_write(path: Path) -> Iterator[TextIO]:
+    """Yield a temp file beside `path`; it replaces `path` if the block ends cleanly."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,7 +93,8 @@ def _write_manifest(
         "config": config,
         "outputs": {p.name: f"sha256:{_sha256(p)}" for p in outputs},
     }
-    _atomic_write(manifest_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _atomic_write(manifest_path) as handle:
+        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_text(path: str | Path) -> str:
@@ -124,7 +128,10 @@ def _load_trees(path: str) -> dict[str, East]:
         raise EastgenError(f"no {TREE_SUFFIX} documents under {path}")
     trees: dict[str, East] = {}
     for file in files:
-        tree = deserialize(_read_text(file))
+        try:
+            tree = deserialize(_read_text(file))  # a UTF-8 error names the path itself
+        except (TreeSchemaError, TreeValidationError) as exc:
+            raise EastgenError(f"{file.name}: {exc}") from exc
         if tree.intent in trees:
             raise EastgenError(
                 f"duplicate tree for intent {tree.intent!r} in {file.name}"
@@ -160,10 +167,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     used: set[str] = set()
     for intent, tree in trees.items():
         path = out / f"{_intent_filename(intent, used)}{TREE_SUFFIX}"
-        _atomic_write(path, serialize(tree))
+        with _atomic_write(path) as handle:
+            handle.write(serialize(tree))
         outputs.append(path)
     lexicon_path = out / LEXICON_FILENAME
-    _atomic_write(lexicon_path, _dump_lexicon(dataset.lexicon))
+    with _atomic_write(lexicon_path) as handle:
+        handle.write(_dump_lexicon(dataset.lexicon))
     outputs.append(lexicon_path)
 
     _write_manifest(
@@ -214,14 +223,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         trees, dataset, config, table, lexicon=lexicon, stats=stats
     )
 
-    sink = io.StringIO()
-    emit(sentences, sink, args.format)
     out = Path(args.out)
-    _atomic_write(out, sink.getvalue())
+    with _atomic_write(out) as handle:
+        emit(sentences, handle, args.format)
     stats_path = out.with_name(out.name + ".stats.json")
-    _atomic_write(
-        stats_path, json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    with _atomic_write(stats_path) as handle:
+        handle.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
     _write_manifest(
         out.with_name(out.name + ".manifest.json"),
@@ -260,7 +267,8 @@ def cmd_export_regex(args: argparse.Namespace) -> int:
     for intent, tree in trees.items():
         bundle = export_regex(tree, lexicon)
         path = out / f"{_intent_filename(intent, used)}.regex.txt"
-        _atomic_write(path, dump_bundle(bundle))
+        with _atomic_write(path) as handle:
+            handle.write(dump_bundle(bundle))
         outputs.append(path)
 
     _write_manifest(

@@ -10,6 +10,7 @@ Both carry slot annotations as IOB tags ("O", "B-<label>", "I-<label>").
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 INTENT_HEADER = "# intent:"
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,6 @@ class EntityLexicon:
     def labels(self) -> list[str]:
         return list(self.entries)
 
-    def merge(self, other: "EntityLexicon") -> None:
-        for label, counter in other.entries.items():
-            for surface, count in counter.items():
-                self.add(label, surface, count)
-
 
 def json_fault(exc: ValueError | RecursionError) -> str:
     """Describe why json.loads failed: bad syntax, nesting too deep for the
@@ -142,6 +139,8 @@ def parse_lexicon(text: str) -> EntityLexicon:
                     "is not an integer >= 1"
                 )
             lexicon.add(label, form, count)
+        if sum(forms.values()) > FLOAT_MAX:  # weighted draws use the float total
+            raise EastgenError(f"lexicon: {label!r}: counts total beyond the float range")
     return lexicon
 
 

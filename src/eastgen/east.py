@@ -11,12 +11,11 @@ Every node carries a weight in (0, 1] and an optional dropout in [0, 1).
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
-from .corpus import Literal, Placeholder, Segment, SentenceTemplate, json_fault
+from .corpus import FLOAT_MAX, Literal, Placeholder, Segment, SentenceTemplate, json_fault
 from .errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
 
 ORDER = "order"
@@ -33,7 +32,7 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 # every walker but the sampler recurses; this bound keeps them all far
 # from Python's recursion limit
 MAX_DEPTH = 100
-FLOAT_MAX = sys.float_info.max
+MAX_EXCHANGEABLE = 6  # enumeration and regex export expand all n! child orders
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,8 @@ def validate(tree: East) -> list[str]:
                             f"{path}: phrase {phrase!r} count {count!r} "
                             "is not an integer >= 1"
                         )
+                if _is_number(node.cum[-1]) and node.cum[-1] > FLOAT_MAX:  # the draw total
+                    violations.append(f"{path}: phrase counts total beyond the float range")
         elif node.kind == ENTITY:
             if node.dictionary is not None:
                 violations.append(f"{path}: entity node has a dictionary")
@@ -163,6 +164,8 @@ def validate(tree: East) -> list[str]:
                 violations.append(f"{path}: entity node has no slot label")
             if node.dropout is not None:
                 violations.append(f"{path}: entity node must not have dropout")
+        elif node.kind == EXCHANGEABLE and len(node.children) > MAX_EXCHANGEABLE:
+            violations.append(f"{path}: more than {MAX_EXCHANGEABLE} exchangeable children")
         elif node.kind == PICKONE:
             total = sum(c.weight for c in node.children if _is_number(c.weight))
             if node.children and abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
@@ -268,11 +271,8 @@ def _distribute_pickone_weights(children: tuple[Node, ...], raw: list) -> tuple[
         children[i].weight for i, obj in enumerate(raw) if "weight" in obj
     )
     share = remaining / len(unspecified)
-    out = list(children)
-    for i in unspecified:
-        c = out[i]
-        out[i] = Node(c.kind, share, c.dropout, c.children, c.dictionary, c.slot)
-    return tuple(out)
+    return tuple(c if "weight" in obj else replace(c, weight=share)
+                 for c, obj in zip(children, raw))
 
 
 def deserialize(text: str) -> East:

@@ -20,13 +20,13 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class EmbeddingTable:
-    """Immutable token -> vector mapping plus a unit-normalized matrix for KNN."""
+    """Immutable token -> vector mapping held as a unit-normalized matrix for KNN."""
 
     dimension: int
     tokens: list[str]
-    matrix: np.ndarray  # shape (n, dimension), float64
     index: dict[str, int] = field(repr=False)
-    unit: np.ndarray = field(repr=False)  # row-normalized copy of matrix
+    unit: np.ndarray = field(repr=False)  # shape (n, dimension), rows of norm 1
+    norms: np.ndarray = field(repr=False)  # shape (n,), each row's original norm
     skipped_zero_rows: int = 0
 
     def __contains__(self, token: str) -> bool:
@@ -37,23 +37,10 @@ class EmbeddingTable:
 
     def vector(self, token: str) -> np.ndarray:
         try:
-            return self.matrix[self.index[token]]
+            i = self.index[token]
         except KeyError:
             raise OutOfVocabularyError(token) from None
-
-
-def _make_table(tokens: list[str], matrix: np.ndarray, dimension: int,
-                skipped: int) -> EmbeddingTable:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    unit = matrix / norms if len(tokens) else matrix
-    return EmbeddingTable(
-        dimension=dimension,
-        tokens=tokens,
-        matrix=matrix,
-        index={t: i for i, t in enumerate(tokens)},
-        unit=unit,
-        skipped_zero_rows=skipped,
-    )
+        return self.unit[i] * self.norms[i]
 
 
 def load_embeddings(text: str) -> EmbeddingTable:
@@ -63,52 +50,49 @@ def load_embeddings(text: str) -> EmbeddingTable:
     table); a row whose width disagrees with the established dimension is
     an error naming the offending line.
     """
-    tokens: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
-    dimension: int | None = None
+    lines = text.splitlines()
+    index: dict[str, int] = {}  # token -> row, in row order
+    line_of: list[int] = []  # source line of each kept row
+    matrix: np.ndarray | None = None
     skipped = 0
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.rstrip().split(" ")
         if len(parts) < 2:
             raise EmbeddingFormatError("expected 'token v1 ... vD'", lineno)
-        token = parts[0]
+        if matrix is None:  # the first row fixes the dimension
+            matrix = np.empty((len(lines), len(parts) - 1), dtype=np.float64)
+        elif len(parts) - 1 != matrix.shape[1]:
+            raise EmbeddingFormatError(
+                f"dimension {len(parts) - 1} != established {matrix.shape[1]}", lineno
+            )
+        row = len(index)  # the next free row; kept only for a new, nonzero vector
         try:
-            values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            matrix[row] = parts[1:]  # numpy converts each string with float()
         except ValueError as exc:
             raise EmbeddingFormatError(f"non-numeric component: {exc}", lineno) from exc
-        if dimension is None:
-            dimension = len(values)
-        elif len(values) != dimension:
-            raise EmbeddingFormatError(
-                f"dimension {len(values)} != established {dimension}", lineno
-            )
-        if token in seen:
+        token = parts[0]
+        if token in index:
             continue
-        if not np.any(values):
+        if not matrix[row].any():
             skipped += 1
             log.warning("skipping zero vector for token %r (line %d)", token, lineno)
             continue
-        seen.add(token)
-        tokens.append(token)
-        rows.append(values)
+        index[token] = row
+        line_of.append(lineno)
 
-    if dimension is None:
+    if matrix is None:
         raise EmbeddingFormatError("no embedding rows found", 1)
-    matrix = np.vstack(rows) if rows else np.zeros((0, dimension))
-    if not np.isfinite(matrix).all():  # one pass; find the line only on failure
-        token = tokens[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
-        lineno = next(
-            lineno
-            for lineno, line in enumerate(text.splitlines(), start=1)
-            if line.split(" ", 1)[0] == token
-            and not np.isfinite([float(v) for v in line.rstrip().split(" ")[1:]]).all()
-        )
-        raise EmbeddingFormatError(f"non-finite component for {token!r}", lineno)
-    return _make_table(tokens, matrix, dimension, skipped)
+    tokens = list(index)
+    matrix = matrix[: len(tokens)]
+    if not np.isfinite(matrix).all():
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        raise EmbeddingFormatError(f"non-finite component for {tokens[row]!r}", line_of[row])
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    matrix /= norms  # in place: the table keeps only the unit-normalized rows
+    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms[:, 0], skipped)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:

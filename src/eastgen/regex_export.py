@@ -182,7 +182,7 @@ def dump_bundle(bundle: RegexBundle) -> str:
 
 def load_bundle(text: str) -> RegexBundle:
     intent: str | None = None
-    patterns: list[str] = []
+    compiled: list[re.Pattern] = []
     group_slots: list[dict[str, str]] = []
     pending_groups: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -196,14 +196,21 @@ def load_bundle(text: str) -> RegexBundle:
                 pending_groups = json.loads(line[len("# groups:"):])
             except (ValueError, RecursionError) as exc:
                 raise EastgenError(f"bundle line {lineno}: {json_fault(exc)}") from exc
-            if not isinstance(pending_groups, dict):
-                raise EastgenError(f"bundle line {lineno}: groups must be an object")
+            if not (isinstance(pending_groups, dict)
+                    and all(isinstance(slot, str) for slot in pending_groups.values())):
+                raise EastgenError(f"bundle line {lineno}: groups must be an object of slots")
         elif line.startswith("#"):
             continue
         else:
-            patterns.append(line)
+            try:
+                pattern = re.compile(line)
+            except (re.error, RecursionError, OverflowError) as exc:
+                raise EastgenError(f"bundle line {lineno}: bad pattern: {exc}") from exc
+            if missing := set(pending_groups).difference(pattern.groupindex):
+                raise EastgenError(f"bundle line {lineno}: unknown group {min(missing)!r}")
+            compiled.append(pattern)
             group_slots.append(pending_groups)
             pending_groups = {}
     if intent is None:
         raise EastgenError("bundle file has no '# intent:' header")
-    return RegexBundle(intent, patterns, group_slots)
+    return RegexBundle(intent, [p.pattern for p in compiled], group_slots, compiled)

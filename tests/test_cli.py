@@ -234,6 +234,95 @@ class TestNonUtf8Input:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestAtomicOutput:
+    def test_failed_emit_leaves_old_output_and_no_temp_file(
+        self, built, tmp_path, capsys, monkeypatch
+    ):
+        def failing_emit(sentences, sink, fmt):
+            sink.write("partial line\n" * 1000)
+            raise OSError("disk full")
+
+        out = tmp_path / "out" / "corpus.conll"
+        out.parent.mkdir()
+        out.write_text("previous corpus\n")
+        monkeypatch.setattr("eastgen.cli.emit", failing_emit)
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+            "--no-embeddings", "--seed", "1", "--count", "40", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert out.read_text() == "previous corpus\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == ["corpus.conll"]
+
+
+class TestCountsBeyondFloatRange:
+    def test_weighted_lexicon_exits_one(self, built, tmp_path, capsys):
+        doc = json.loads((built / "lexicon.json").read_text())
+        doc["city_name"] = {"boston": 10**400, "dallas": 1}
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps(doc))
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(lexicon),
+            "--no-embeddings", "--weighted-lexicon", "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: lexicon: 'city_name': counts total beyond the float range\n"
+
+    def test_tree_counts_exit_one(self, built, tmp_path, capsys):
+        doc = {"intent": "x", "root": {"kind": "order", "children": [
+            {"kind": "fixed", "dictionary": {"a": 10**308, "b": 10**308}}]}}
+        tree = tmp_path / "huge.east.json"
+        tree.write_text(json.dumps(doc))
+        code = main([
+            "generate", "--trees", str(tree), "--lexicon", str(built / "lexicon.json"),
+            "--no-embeddings", "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (
+            "error: huge.east.json: root.children[0]: "
+            "phrase counts total beyond the float range\n"
+        )
+
+
+class TestTreeErrorsNameTheFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--trees", "{tree}", "--lexicon", "{built}/lexicon.json",
+             "--no-embeddings", "--seed", "1", "--count", "3", "--out", "{out}"],
+            ["export-regex", "--trees", "{tree}", "--lexicon", "{built}/lexicon.json",
+             "--out", "{out}"],
+            ["stats", "--trees", "{tree}"],
+            ["stats", "--trees", "{dir}"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "root, message",
+        [
+            ({"kind": "order", "children": [{"kind": "bad"}]},
+             "root.children[0]: unknown node kind 'bad'"),
+            ({"kind": "order", "weight": 2, "children": [
+                {"kind": "fixed", "dictionary": {"a": 1}}]},
+             "root: weight 2.0 outside (0, 1]"),
+        ],
+    )
+    def test_exits_one_naming_the_file(self, built, tmp_path, capsys, argv, root, message):
+        folder = tmp_path / "broken"
+        folder.mkdir()
+        tree = folder / "bad.east.json"
+        tree.write_text(json.dumps({"intent": "x", "root": root}))
+        names = {"built": str(built), "tree": str(tree), "dir": str(folder),
+                 "out": str(tmp_path / "out")}
+        code = main([arg.format(**names) for arg in argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad.east.json: {message}\n"
+
+
 class TestNerFlow:
     def test_intent_free_corpus_with_synthetic_intent(self, tmp_path):
         ner = tmp_path / "ner.conll"

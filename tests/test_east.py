@@ -20,12 +20,18 @@ from eastgen import (
     fixed,
     generate_batch,
     order,
+    parse_lexicon,
     pick_one,
     serialize,
     validate,
 )
-from eastgen.east import MAX_DEPTH, TemplateLanguage
-from eastgen.errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
+from eastgen.east import FLOAT_MAX, MAX_DEPTH, MAX_EXCHANGEABLE, TemplateLanguage
+from eastgen.errors import (
+    EastgenError,
+    LanguageSizeExceeded,
+    TreeSchemaError,
+    TreeValidationError,
+)
 
 from helpers import random_tree, random_tree_with_budget, structural_path_count
 
@@ -125,6 +131,54 @@ class TestValidate:
         violations = validate(East("x", order(node)))
         assert len(violations) == 1
         assert f"nested deeper than {MAX_DEPTH} levels" in violations[0]
+
+    def test_exchangeable_width_bound(self):
+        def tree(width):
+            return East("x", order(exchangeable(*(fixed({f"w{i}": 1}) for i in range(width)))))
+
+        assert MAX_EXCHANGEABLE == 6
+        assert validate(tree(6)) == []
+        violations = validate(tree(7))
+        assert violations == ["root.children[0]: more than 6 exchangeable children"]
+        with pytest.raises(TreeValidationError):
+            deserialize(serialize(tree(7)))
+
+
+class TestCountTotals:
+    """The sampler draws `random() * total` in floating point, so the counts
+    it draws on must sum to a number a float can hold."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{"a": 10**400, "b": 1}, {"a": 10**308, "b": 10**308}],
+    )
+    def test_fixed_counts_beyond_float_range_rejected(self, counts):
+        tree = East("x", order(fixed(counts)))
+        assert validate(tree) == [
+            "root.children[0]: phrase counts total beyond the float range"
+        ]
+        with pytest.raises(TreeValidationError):
+            deserialize(serialize(tree))
+
+    def test_fixed_counts_at_float_max_sample(self):
+        counts = {"a": int(FLOAT_MAX) - 1, "b": 1}  # total exactly FLOAT_MAX
+        tree = deserialize(serialize(East("x", order(fixed(counts)))))
+        config = GenerationConfig(seed=3, count=20, use_embeddings=False)
+        sentences = generate_batch({"x": tree}, None, config, lexicon=EntityLexicon())
+        assert {s.tokens for s in sentences} <= {("a",), ("b",)}
+
+    @pytest.mark.parametrize(
+        "forms",
+        ['{"a": 1' + "0" * 400 + ', "b": 1}', '{"a": 1' + "0" * 308 + ', "b": 1' + "0" * 308 + "}"],
+    )
+    def test_lexicon_counts_beyond_float_range_rejected(self, forms):
+        with pytest.raises(EastgenError) as err:
+            parse_lexicon('{"city": ' + forms + "}")
+        assert str(err.value) == "lexicon: 'city': counts total beyond the float range"
+
+    def test_lexicon_counts_at_float_max_load(self):
+        lexicon = parse_lexicon(json.dumps({"city": {"a": int(FLOAT_MAX)}, "day": {"b": 1}}))
+        assert lexicon.entries["city"]["a"] == int(FLOAT_MAX)
 
 
 class TestDerivedFields:

@@ -47,6 +47,26 @@ class TestLoad:
             load_embeddings(f"a 1 0\nb 0 0\nb {value} 1\nc 0 1\n")
         assert err.value.line == 3
 
+    def test_duplicate_rows_are_still_parsed(self):
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings("a 1 0\na x 0\n")
+        assert err.value.line == 2
+        table = load_embeddings("a 1 0\na nan 0\n")  # first occurrence wins
+        assert list(table.vector("a")) == [1.0, 0.0]
+
+    def test_non_finite_line_counts_skipped_lines(self):
+        with pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings("a 1 0\n\nz 0 0\na 2 2\nb 1 inf\nc 1 1\n")
+        assert err.value.line == 5
+        assert "'b'" in str(err.value)
+
+    def test_unit_rows_and_norms(self):
+        table = load_embeddings("a 3 4\nz 0 0\nb 0 -2\n")
+        assert table.tokens == ["a", "b"]
+        assert table.unit.tolist() == [[0.6, 0.8], [0.0, -1.0]]
+        assert table.norms.tolist() == [5.0, 2.0]
+        assert list(table.vector("b")) == [0.0, -2.0]
+
     def test_thousand_row_fixture(self, vector_fixture):
         text, vectors = vector_fixture
         table = load_embeddings(text)

@@ -15,7 +15,7 @@ from eastgen import (
 )
 from eastgen.cli import main
 from eastgen.errors import CorpusParseError, EastgenError, TreeSchemaError
-from eastgen.regex_export import load_bundle
+from eastgen.regex_export import load_bundle, match
 
 scalars = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -121,6 +121,33 @@ def test_malformed_bundle_groups_name_the_line(groups, message):
         load_bundle(f"# intent: x\n# groups: {groups}\n^a$\n")
     assert str(err.value).startswith("bundle line 2: ")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("# intent: x\n^(a$\n", 2, "bad pattern: missing ), unterminated subpattern"),
+        ("# intent: x\n\n" + "(" * 5000 + ")" * 5000 + "\n", 3, "bad pattern: maximum recursion"),
+        ("# intent: x\n^a{99999999999}$\n", 2, "bad pattern: the repetition number"),
+        ('# intent: x\n# groups: {"g9": "city"}\n^a$\n', 3, "unknown group 'g9'"),
+        ('# intent: x\n# groups: {"g0": "city", "g1": "day"}\n^(?P<g0>a)$\n', 3,
+         "unknown group 'g1'"),
+        ('# intent: x\n# groups: {"g0": 1}\n^(?P<g0>a)$\n', 2,
+         "groups must be an object of slots"),
+    ],
+    ids=["unbalanced", "nested-too-deep", "huge-repeat", "no-such-group", "one-missing-group",
+         "slot-not-a-string"],
+)
+def test_broken_bundle_names_the_line(text, line, message):
+    with pytest.raises(EastgenError) as err:
+        load_bundle(text)
+    assert str(err.value).startswith(f"bundle line {line}: {message}")
+
+
+def test_checked_bundle_matches():
+    bundle = load_bundle('# intent: x\n# groups: {"g0": "city"}\n^to (?P<g0>new york)$\n')
+    assert bundle.patterns == ["^to (?P<g0>new york)$"]
+    assert match(bundle, ["to", "new", "york"]) == ("x", ["O", "B-city", "I-city"])
 
 
 @settings(max_examples=40, deadline=None)
