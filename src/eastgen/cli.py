@@ -1,9 +1,9 @@
 """Command-line interface: build trees, generate corpora, export regexes.
 
-Every command that writes files also writes a manifest echoing its inputs,
-configuration and output checksums; re-running with the same manifest
-inputs reproduces the outputs byte for byte. Files are written atomically
-(temp file + rename).
+Every command that writes files also writes a manifest of every parsed
+option (input file paths under "inputs", the rest under "config") and the
+output checksums; re-running with the same manifest inputs reproduces the
+outputs byte for byte. Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import __version__
 from .builder import BuilderConfig, build, entity_occurrence
@@ -44,6 +44,9 @@ from .regex_export import dump_bundle, export_regex
 
 TREE_SUFFIX = ".east.json"
 LEXICON_FILENAME = "lexicon.json"
+# options that name input files: a manifest lists them under "inputs" and
+# every other parsed option under "config"
+INPUT_OPTIONS = ("corpus", "trees", "lexicon", "embeddings")
 
 
 def _threshold(value: str) -> float:
@@ -84,12 +87,13 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    manifest_path: Path, command: str, inputs: dict, config: dict, outputs: list[Path]
+    manifest_path: Path, args: argparse.Namespace, outputs: list[Path]
 ) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     doc = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "inputs": inputs,
+        "inputs": {k: config.pop(k) for k in INPUT_OPTIONS if k in config},
         "config": config,
         "outputs": {p.name: f"sha256:{_sha256(p)}" for p in outputs},
     }
@@ -110,24 +114,40 @@ def _read_corpus(path: str, fmt: str, synthetic_intent: str | None) -> Dataset:
     return build_dataset(sentences, synthetic_intent=synthetic_intent)
 
 
-def _intent_filename(intent: str, used: set[str]) -> str:
-    base = re.sub(r"[^A-Za-z0-9._-]+", "_", intent).strip("_") or "intent"
-    name = base
-    counter = 2
-    while name in used:
-        name = f"{base}_{counter}"
-        counter += 1
-    used.add(name)
-    return name
+def _write_per_intent(
+    out: Path, suffix: str, docs: Iterable[tuple[str, str]]
+) -> list[Path]:
+    """Write each (intent, text) as it is drawn to `out`/<name><suffix>.
+
+    The name is the intent reduced to file-safe characters, with _2, _3, ...
+    appended when an earlier intent took it. Returns the written paths.
+    """
+    paths: list[Path] = []
+    used: set[str] = set()
+    for intent, text in docs:
+        base = name = re.sub(r"[^A-Za-z0-9._-]+", "_", intent).strip("_") or "intent"
+        counter = 2
+        while name in used:
+            name, counter = f"{base}_{counter}", counter + 1
+        used.add(name)
+        paths.append(out / f"{name}{suffix}")
+        with _atomic_write(paths[-1]) as handle:
+            handle.write(text)
+    return paths
 
 
-def _load_trees(path: str) -> dict[str, East]:
+def _tree_files(path: str) -> list[Path]:
+    """The tree documents at `path`: the file itself, or a directory's *.east.json."""
     root = Path(path)
     files = sorted(root.glob(f"*{TREE_SUFFIX}")) if root.is_dir() else [root]
     if not files:
         raise EastgenError(f"no {TREE_SUFFIX} documents under {path}")
+    return files
+
+
+def _load_trees(path: str) -> dict[str, East]:
     trees: dict[str, East] = {}
-    for file in files:
+    for file in _tree_files(path):
         try:
             tree = deserialize(_read_text(file))  # a UTF-8 error names the path itself
         except (TreeSchemaError, TreeValidationError) as exc:
@@ -163,29 +183,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     trees = build(dataset, config)
 
     out = Path(args.out)
-    outputs: list[Path] = []
-    used: set[str] = set()
-    for intent, tree in trees.items():
-        path = out / f"{_intent_filename(intent, used)}{TREE_SUFFIX}"
-        with _atomic_write(path) as handle:
-            handle.write(serialize(tree))
-        outputs.append(path)
-    lexicon_path = out / LEXICON_FILENAME
-    with _atomic_write(lexicon_path) as handle:
-        handle.write(_dump_lexicon(dataset.lexicon))
-    outputs.append(lexicon_path)
-
-    _write_manifest(
-        out / "manifest.json",
-        "build",
-        inputs={"corpus": args.corpus, "format": args.format},
-        config={
-            "threshold": args.threshold,
-            "singleton_main": args.singleton_main,
-            "synthetic_intent": args.synthetic_intent,
-        },
-        outputs=outputs,
+    outputs = _write_per_intent(
+        out, TREE_SUFFIX, ((intent, serialize(tree)) for intent, tree in trees.items())
     )
+    outputs.append(out / LEXICON_FILENAME)
+    with _atomic_write(outputs[-1]) as handle:
+        handle.write(_dump_lexicon(dataset.lexicon))
+    _write_manifest(out / "manifest.json", args, outputs)
     print(f"built {len(trees)} tree(s) under {out}")
     return 0
 
@@ -230,28 +234,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     with _atomic_write(stats_path) as handle:
         handle.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    _write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "generate",
-        inputs={
-            "trees": args.trees,
-            "lexicon": args.lexicon,
-            "corpus": args.corpus,
-            "embeddings": args.embeddings,
-        },
-        config={
-            "seed": args.seed,
-            "k": args.k,
-            "factor": args.factor,
-            "count": args.count,
-            "format": args.format,
-            "no_embeddings": args.no_embeddings,
-            "no_dropout": args.no_dropout,
-            "weighted_lexicon": args.weighted_lexicon,
-            "neighbors_from_lexicon": args.neighbors_from_lexicon,
-        },
-        outputs=[out, stats_path],
-    )
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args, [out, stats_path])
     print(f"generated {len(sentences)} sentence(s) -> {out}")
     return 0
 
@@ -262,22 +245,11 @@ def cmd_export_regex(args: argparse.Namespace) -> int:
     _check_lexicon_coverage(trees, lexicon)
 
     out = Path(args.out)
-    outputs: list[Path] = []
-    used: set[str] = set()
-    for intent, tree in trees.items():
-        bundle = export_regex(tree, lexicon)
-        path = out / f"{_intent_filename(intent, used)}.regex.txt"
-        with _atomic_write(path) as handle:
-            handle.write(dump_bundle(bundle))
-        outputs.append(path)
-
-    _write_manifest(
-        out / "manifest.json",
-        "export-regex",
-        inputs={"trees": args.trees, "lexicon": args.lexicon},
-        config={},
-        outputs=outputs,
+    bundles = (
+        (intent, dump_bundle(export_regex(tree, lexicon))) for intent, tree in trees.items()
     )
+    outputs = _write_per_intent(out, ".regex.txt", bundles)
+    _write_manifest(out / "manifest.json", args, outputs)
     print(f"exported {len(outputs)} bundle(s) under {out}")
     return 0
 
@@ -285,20 +257,15 @@ def cmd_export_regex(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     problems = 0
     if args.trees:
-        root = Path(args.trees)
-        files = sorted(root.glob(f"*{TREE_SUFFIX}")) if root.is_dir() else [root]
         seen_intents: set[str] = set()
-        for file in files:
+        for file in _tree_files(args.trees):
             try:
                 tree = deserialize(_read_text(file))
-            except TreeValidationError as exc:
-                for violation in exc.violations:
-                    print(f"{file.name}: {violation}")
-                problems += len(exc.violations)
-                continue
             except EastgenError as exc:
-                print(f"{file.name}: {exc}")
-                problems += 1
+                faults = exc.violations if isinstance(exc, TreeValidationError) else [exc]
+                for fault in faults:
+                    print(f"{file.name}: {fault}")
+                problems += len(faults)
                 continue
             if tree.intent in seen_intents:
                 print(f"{file.name}: duplicate tree for intent {tree.intent!r}")

@@ -99,6 +99,21 @@ class EntityLexicon:
         return list(self.entries)
 
 
+def is_token(text) -> bool:
+    """A token or slot label: one non-empty string free of whitespace."""
+    return isinstance(text, str) and text.split() == [text]
+
+
+def is_phrase(text) -> bool:
+    """Tokens (see is_token) joined by single spaces: a lexicon form or fixed phrase."""
+    return isinstance(text, str) and text.split(" ") == text.split()
+
+
+def is_intent(text) -> bool:
+    """A non-empty string with no line break and no surrounding whitespace."""
+    return isinstance(text, str) and text.strip().splitlines() == [text]
+
+
 def json_fault(exc: ValueError | RecursionError) -> str:
     """Describe why json.loads failed: bad syntax, nesting too deep for the
     decoder, or an integer literal too long to convert."""
@@ -112,9 +127,9 @@ def json_fault(exc: ValueError | RecursionError) -> str:
 def parse_lexicon(text: str) -> EntityLexicon:
     """Parse a lexicon document: a JSON object of {label: {form: count}}.
 
-    Labels must be non-blank and free of whitespace, forms single-space
-    joins of non-blank tokens, and counts integers of at least 1, so that
-    every form emitted from the lexicon re-parses as the tokens it holds.
+    Labels must pass is_token, forms is_phrase, and counts be integers of
+    at least 1, so that every form emitted from the lexicon re-parses as the
+    tokens it holds.
     """
     try:
         doc = json.loads(text)
@@ -124,12 +139,12 @@ def parse_lexicon(text: str) -> EntityLexicon:
         raise EastgenError("lexicon: expected an object of {label: {form: count}}")
     lexicon = EntityLexicon()
     for label, forms in doc.items():
-        if label.split() != [label]:
+        if not is_token(label):
             raise EastgenError(f"lexicon: malformed label {label!r}")
         if not isinstance(forms, dict):
             raise EastgenError(f"lexicon: {label!r}: expected an object of {{form: count}}")
         for form, count in forms.items():
-            if not form or " ".join(form.split()) != form:
+            if not is_phrase(form):
                 raise EastgenError(
                     f"lexicon: {label!r} form {form!r}: not single-space-joined tokens"
                 )
@@ -160,15 +175,18 @@ class Dataset:
 
 
 def iob_violations(slots: Iterable[str]) -> list[tuple[int, str]]:
-    """Return (position, message) pairs for every broken IOB constraint."""
+    """Return (position, message) pairs for every broken IOB constraint.
+
+    A tag is "O", "B-<label>" or "I-<label>" with a label that passes is_token.
+    """
     violations = []
     prev_label = None  # label of the span continuing into this position, if any
     for i, tag in enumerate(slots):
         if tag == "O":
             prev_label = None
-        elif tag.startswith("B-") and len(tag) > 2:
+        elif tag.startswith("B-") and is_token(tag[2:]):
             prev_label = tag[2:]
-        elif tag.startswith("I-") and len(tag) > 2:
+        elif tag.startswith("I-") and is_token(tag[2:]):
             label = tag[2:]
             if prev_label != label:
                 violations.append((i, f"I-{label} does not continue a {label} span"))
@@ -182,9 +200,11 @@ def iob_violations(slots: Iterable[str]) -> list[tuple[int, str]]:
 def _check_sentence(sentence: AnnotatedSentence, index: int) -> None:
     if not sentence.tokens:
         raise CorpusValidationError("sentence has no tokens", index, 0)
+    if sentence.intent is not None and not is_intent(sentence.intent):
+        raise CorpusValidationError(f"malformed intent {sentence.intent!r}", index, 0)
     for i, token in enumerate(sentence.tokens):
         # tokens must survive space-joining in phrases, lexica and emitted files
-        if not token or any(c.isspace() for c in token):
+        if not is_token(token):
             raise CorpusValidationError(
                 f"empty or whitespace-containing token {token!r}", index, i
             )

@@ -15,7 +15,17 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, permutations
 from typing import Iterable, Iterator
 
-from .corpus import FLOAT_MAX, Literal, Placeholder, Segment, SentenceTemplate, json_fault
+from .corpus import (
+    FLOAT_MAX,
+    Literal,
+    Placeholder,
+    Segment,
+    SentenceTemplate,
+    is_intent,
+    is_phrase,
+    is_token,
+    json_fault,
+)
 from .errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
 
 ORDER = "order"
@@ -49,11 +59,15 @@ class Node:
     phrases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # a non-number among the values is left to validate() to report
         cum = phrases = ()
         if self.kind == PICKONE:
-            cum = tuple(accumulate([c.weight for c in self.children]))
+            weights = [c.weight for c in self.children]
+            if all(map(_is_number, weights)):
+                cum = tuple(accumulate(weights))
         elif self.kind == FIXED and self.dictionary:
-            cum = tuple(accumulate(self.dictionary.values()))
+            if all(map(_is_number, self.dictionary.values())):
+                cum = tuple(accumulate(self.dictionary.values()))
             phrases = tuple((tuple(p.split(" ")), ("O",) * (p.count(" ") + 1))
                             for p in self.dictionary)
         object.__setattr__(self, "cum", cum)
@@ -112,8 +126,10 @@ def _is_number(value) -> bool:
 def validate(tree: East) -> list[str]:
     """Return one message per broken invariant; an empty list means valid."""
     violations: list[str] = []
-    if not isinstance(tree.intent, str) or not tree.intent:
-        violations.append("root: intent must be a non-empty string")
+    if not is_intent(tree.intent):
+        violations.append(
+            f"root: intent must be one non-empty trimmed line, got {tree.intent!r}"
+        )
     if tree.root.kind not in ROOT_KINDS:
         violations.append(f"root: root kind must be order or pickone, got {tree.root.kind!r}")
 
@@ -148,20 +164,22 @@ def validate(tree: East) -> list[str]:
                 violations.append(f"{path}: fixed node dictionary is empty")
             else:
                 for phrase, count in node.dictionary.items():
-                    if not phrase or not all(phrase.split(" ")):
+                    if not is_phrase(phrase):
                         violations.append(f"{path}: malformed phrase {phrase!r}")
                     if not (_is_number(count) and isinstance(count, int)) or count < 1:
                         violations.append(
                             f"{path}: phrase {phrase!r} count {count!r} "
                             "is not an integer >= 1"
                         )
-                if _is_number(node.cum[-1]) and node.cum[-1] > FLOAT_MAX:  # the draw total
+                if node.cum and node.cum[-1] > FLOAT_MAX:  # the draw total
                     violations.append(f"{path}: phrase counts total beyond the float range")
         elif node.kind == ENTITY:
             if node.dictionary is not None:
                 violations.append(f"{path}: entity node has a dictionary")
             if not node.slot:
                 violations.append(f"{path}: entity node has no slot label")
+            elif not is_token(node.slot):
+                violations.append(f"{path}: malformed slot label {node.slot!r}")
             if node.dropout is not None:
                 violations.append(f"{path}: entity node must not have dropout")
         elif node.kind == EXCHANGEABLE and len(node.children) > MAX_EXCHANGEABLE:

@@ -17,6 +17,10 @@ from .errors import EmbeddingFormatError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
+# below this norm the row's sum of squares is subnormal or 0, so the norm is
+# imprecise or 0; above about 1.3e154 the sum of squares overflows to inf
+MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
+
 
 @dataclass
 class EmbeddingTable:
@@ -46,9 +50,10 @@ class EmbeddingTable:
 def load_embeddings(text: str) -> EmbeddingTable:
     """Parse embedding rows; first occurrence wins for duplicate tokens.
 
-    Zero-norm rows are rejected with a warning (their count is kept on the
-    table); a row whose width disagrees with the established dimension is
-    an error naming the offending line.
+    Zero rows are rejected with a warning (their count is kept on the
+    table); a row whose width disagrees with the established dimension, or
+    that has a non-finite component or a norm whose square underflows or
+    overflows float64, is an error naming the offending line.
     """
     lines = text.splitlines()
     index: dict[str, int] = {}  # token -> row, in row order
@@ -87,10 +92,14 @@ def load_embeddings(text: str) -> EmbeddingTable:
         raise EmbeddingFormatError("no embedding rows found", 1)
     tokens = list(index)
     matrix = matrix[: len(tokens)]
-    if not np.isfinite(matrix).all():
-        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-        raise EmbeddingFormatError(f"non-finite component for {tokens[row]!r}", line_of[row])
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    usable = (norms[:, 0] >= MIN_NORM) & (norms[:, 0] < np.inf)  # False for NaN too
+    if not usable.all():
+        row = int(np.argmin(usable))
+        fault = ("non-finite component" if not np.isfinite(matrix[row]).all()
+                 else "squared norm underflows or overflows float64")
+        raise EmbeddingFormatError(f"{fault} for {tokens[row]!r}", line_of[row])
     matrix /= norms  # in place: the table keeps only the unit-normalized rows
     return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms[:, 0], skipped)
 

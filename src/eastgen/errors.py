@@ -75,3 +75,13 @@ class MissingLexiconError(EastgenError):
     def __init__(self, slot: str):
         super().__init__(f"no lexicon entries for slot {slot!r}")
         self.slot = slot
+
+
+class MissingTrainingSizeError(EastgenError, ValueError):
+    """An intent has no training size to scale by `factor`, and no count was given."""
+
+    def __init__(self, intent: str):
+        super().__init__(
+            f"no training size for intent {intent!r}: not in the corpus; pass --count"
+        )
+        self.intent = intent

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence, TextIO
 from .corpus import AnnotatedSentence, Dataset, EntityLexicon
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .embeddings import EmbeddingTable, k_nearest, k_nearest_among
-from .errors import MissingLexiconError
+from .errors import MissingLexiconError, MissingTrainingSizeError
 
 OUTPUT_FORMATS = ("conll", "records")
 
@@ -271,9 +271,7 @@ def generate_batch(
             n = config.count
         else:
             if intent not in intent_sizes:
-                raise ValueError(
-                    f"no training size for intent {intent!r}; pass a dataset or --count"
-                )
+                raise MissingTrainingSizeError(intent)
             n = config.factor * intent_sizes[intent]
         rng = random.Random(_intent_seed(config.seed, intent))
         root = tree.root

@@ -9,6 +9,7 @@ from eastgen import (
     deserialize,
     enumerate_language,
     parse_conll,
+    parse_records,
 )
 from eastgen.cli import main
 
@@ -177,6 +178,8 @@ class TestMalformedLexicon:
             ('{"city": {" oslo": 1}}', "' oslo'"),
             ('{"city": {"new\\tyork": 1}}', "'new\\tyork'"),
             ('{"": {"oslo": 1}}', "''"),
+            ('{"city name": {"oslo": 1}}', "'city name'"),
+            ('{"city\\u00a0name": {"oslo": 1}}', "'city\\xa0name'"),
         ],
     )
     def test_generate_exits_one_naming_the_entry(self, built, tmp_path, capsys, text, named):
@@ -461,3 +464,163 @@ class TestStats:
         empty = tmp_path / "none.conll"
         empty.write_text("")
         assert main(["stats", "--corpus", str(empty)]) == 1
+
+
+class TestManifest:
+    def test_lists_every_option(self, built, corpus_file, tmp_path):
+        manifest = json.loads((built / "manifest.json").read_text())
+        assert manifest["inputs"] == {"corpus": str(corpus_file)}
+        assert manifest["config"] == {
+            "format": "conll", "singleton_main": False, "synthetic_intent": None,
+            "threshold": 0.5,
+        }
+        out = tmp_path / "aug.conll"
+        assert main([
+            "generate", "--trees", str(built), "--corpus", str(corpus_file),
+            "--no-embeddings", "--seed", "3", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((tmp_path / "aug.conll.manifest.json").read_text())
+        assert manifest["command"] == "generate"
+        assert manifest["inputs"] == {
+            "corpus": str(corpus_file), "embeddings": None, "lexicon": None,
+            "trees": str(built),
+        }
+        assert manifest["config"] == {
+            "count": None, "factor": 2, "format": "conll", "k": 5,
+            "neighbors_from_lexicon": False, "no_dropout": False, "no_embeddings": True,
+            "seed": 3, "synthetic_intent": None, "weighted_lexicon": False,
+        }
+
+    def test_synthetic_intent_is_recorded(self, built, tmp_path):
+        mix = tmp_path / "mix.conll"
+        mix.write_text(AIRLINE_CONLL + "\n\nhello\tO\nthere\tO\n")
+        configs = []
+        for intent in "AB":
+            out = tmp_path / f"{intent}.conll"
+            assert main([
+                "generate", "--trees", str(built), "--corpus", str(mix),
+                "--synthetic-intent", intent, "--no-embeddings", "--seed", "3",
+                "--out", str(out),
+            ]) == 0
+            configs.append(json.loads((tmp_path / f"{intent}.conll.manifest.json")
+                                      .read_text())["config"])
+        assert configs[0]["synthetic_intent"] == "A"
+        assert configs[1] == {**configs[0], "synthetic_intent": "B"}
+
+
+class TestTreeFiles:
+    def test_validate_on_a_directory_without_trees_exits_one(self, tmp_path, capsys):
+        empty = tmp_path / "none"
+        empty.mkdir()
+        assert main(["validate", "--trees", str(empty)]) == 1
+        assert capsys.readouterr().err == f"error: no .east.json documents under {empty}\n"
+
+    def test_generate_names_the_file_of_a_duplicate_intent(self, built, tmp_path, capsys):
+        clone_dir = tmp_path / "dup"
+        clone_dir.mkdir()
+        source = (built / "airline.east.json").read_text()
+        (clone_dir / "a.east.json").write_text(source)
+        (clone_dir / "b.east.json").write_text(source)
+        code = main([
+            "generate", "--trees", str(clone_dir), "--lexicon", str(built / "lexicon.json"),
+            "--no-embeddings", "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: duplicate tree for intent 'airline' in b.east.json\n"
+        )
+
+    def test_per_intent_file_names_are_safe_and_distinct(self, tmp_path):
+        corpus = tmp_path / "two.conll"
+        corpus.write_text("# intent: a b\nhi\tO\n\n# intent: a_b\nyo\tO\n")
+        trees = tmp_path / "trees"
+        assert main(["build", str(corpus), "--out", str(trees)]) == 0
+        assert sorted(p.name for p in trees.iterdir()) == [
+            "a_b.east.json", "a_b_2.east.json", "lexicon.json", "manifest.json"
+        ]
+        assert deserialize((trees / "a_b.east.json").read_text()).intent == "a b"
+        assert deserialize((trees / "a_b_2.east.json").read_text()).intent == "a_b"
+        bundles = tmp_path / "bundles"
+        assert main([
+            "export-regex", "--trees", str(trees), "--lexicon", str(trees / "lexicon.json"),
+            "--out", str(bundles),
+        ]) == 0
+        assert (bundles / "a_b.regex.txt").read_text().startswith("# intent: a b\n")
+        assert (bundles / "a_b_2.regex.txt").read_text().startswith("# intent: a_b\n")
+
+
+class TestMissingTrainingSize:
+    def test_intent_absent_from_the_corpus_exits_one(self, built, tmp_path, capsys):
+        other = tmp_path / "other.conll"
+        other.write_text(AIRLINE_CONLL.replace("# intent: airline", "# intent: travel"))
+        code = main([
+            "generate", "--trees", str(built), "--corpus", str(other),
+            "--no-embeddings", "--seed", "1", "--out", str(tmp_path / "x.conll"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no training size for intent 'airline': not in the corpus; "
+            "pass --count\n"
+        )
+
+
+class TestTextRule:
+    """Whatever eastgen accepts must re-parse from the files it writes."""
+
+    def test_records_round_trip(self, tmp_path):
+        records = [
+            {"tokens": ["fly", "to", "new", "york"],
+             "slots": ["O", "O", "B-city", "I-city"], "intent": "book flight"},
+            {"tokens": ["fly", "to", "oslo", "now"],
+             "slots": ["O", "O", "B-city", "O"], "intent": "book flight"},
+        ]
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        trees = tmp_path / "trees"
+        assert main(["build", str(corpus), "--format", "records", "--out", str(trees)]) == 0
+        for fmt, parse in (("conll", parse_conll), ("records", parse_records)):
+            out = tmp_path / f"aug.{fmt}"
+            assert main([
+                "generate", "--trees", str(trees), "--lexicon", str(trees / "lexicon.json"),
+                "--count", "4", "--format", fmt, "--no-embeddings", "--seed", "5",
+                "--out", str(out),
+            ]) == 0
+            sentences = parse(out.read_text())
+            assert len(sentences) == 4
+            assert {s.intent for s in sentences} == {"book flight"}
+            assert {s.tokens[2] for s in sentences} <= {"new", "oslo"}
+
+    @pytest.mark.parametrize(
+        "intent, phrase, message",
+        [
+            ("x", "hello\tthere", "root.children[0]: malformed phrase 'hello\\tthere'"),
+            ("x\ny", "hello", "root: intent must be one non-empty trimmed line, got 'x\\ny'"),
+        ],
+    )
+    def test_tree_text_that_would_not_re_parse_exits_one(
+        self, built, tmp_path, capsys, intent, phrase, message
+    ):
+        tree = tmp_path / "bad.east.json"
+        root = {"kind": "order", "children": [{"kind": "fixed", "dictionary": {phrase: 1}}]}
+        tree.write_text(json.dumps({"intent": intent, "root": root}))
+        code = main([
+            "generate", "--trees", str(tree), "--lexicon", str(built / "lexicon.json"),
+            "--no-embeddings", "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: bad.east.json: {message}\n"
+        assert not (tmp_path / "x.conll").exists()
+
+    def test_records_label_with_a_space_is_rejected_before_build(self, tmp_path, capsys):
+        corpus = tmp_path / "train.jsonl"
+        corpus.write_text(json.dumps(
+            {"tokens": ["to", "oslo"], "slots": ["O", "B-city name"], "intent": "x"}
+        ) + "\n")
+        assert main(["validate", "--corpus", str(corpus), "--format", "records"]) == 1
+        assert "malformed slot tag 'B-city name'" in capsys.readouterr().out
+        trees = tmp_path / "trees"
+        assert main(["build", str(corpus), "--format", "records", "--out", str(trees)]) == 1
+        assert "malformed slot tag 'B-city name'" in capsys.readouterr().err
+        assert not trees.exists()

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,13 @@ from eastgen import (
     parse_conll,
     parse_records,
 )
-from eastgen.corpus import iob_violations, reinsert_entities
+from eastgen.corpus import (
+    iob_violations,
+    is_intent,
+    is_phrase,
+    is_token,
+    reinsert_entities,
+)
 from eastgen.errors import CorpusParseError, CorpusValidationError, EmptyDatasetError
 
 from conftest import WEATHER_CONLL
@@ -88,6 +96,52 @@ class TestParseRecords:
     def test_whitespace_token_rejected(self):
         with pytest.raises(CorpusValidationError):
             parse_records('{"tokens":["a b"],"slots":["O"]}')
+
+
+class TestTextRule:
+    """What a corpus can carry: every token, label, phrase and intent must come
+    back unchanged after it is written to a conll or records file."""
+
+    @pytest.mark.parametrize(
+        "text, token, phrase",
+        [
+            ("a", True, True),
+            ("new york", False, True),
+            ("", False, False),
+            ("a  b", False, False),
+            (" a", False, False),
+            ("a\tb", False, False),
+            ("a\nb", False, False),
+            ("a\u00a0b", False, False),
+            (3, False, False),
+        ],
+    )
+    def test_token_and_phrase(self, text, token, phrase):
+        assert is_token(text) is token
+        assert is_phrase(text) is phrase
+
+    @pytest.mark.parametrize(
+        "text, ok",
+        [("Ask weather", True), ("x", True), ("", False), ("x\ny", False),
+         ("x\r", False), ("x\x1cy", False), (" x", False), ("x\t", False)],
+    )
+    def test_intent(self, text, ok):
+        assert is_intent(text) is ok
+
+    @pytest.mark.parametrize(
+        "slots",
+        [["B-city name", "O"], ["B-city\tname", "O"], ["B-city", "I-city name"]],
+    )
+    def test_records_label_with_whitespace_rejected(self, slots):
+        record = {"tokens": ["a", "b"], "slots": slots, "intent": "x"}
+        with pytest.raises(CorpusValidationError, match="malformed slot tag"):
+            parse_records(json.dumps(record))
+
+    @pytest.mark.parametrize("intent", ["x\ny", "x\u2028y", " x", "x\r", ""])
+    def test_records_intent_with_line_break_or_surrounding_space_rejected(self, intent):
+        record = {"tokens": ["a"], "slots": ["O"], "intent": intent}
+        with pytest.raises(CorpusValidationError, match="malformed intent"):
+            parse_records(json.dumps(record))
 
 
 class TestAbstractEntities:

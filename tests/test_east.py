@@ -110,6 +110,7 @@ class TestValidate:
             Node("fixed", 1.0, "0.5", dictionary={"a": 1}),
             Node("fixed", "1", dictionary={"a": 1}),
             fixed({"a": 1.0}),
+            fixed({"a": "x", "b": 1}),
         ],
     )
     def test_non_numbers_rejected_on_trees_built_in_code(self, node):
@@ -122,6 +123,36 @@ class TestValidate:
         violations = validate(tree)
         assert any("weight True" in v for v in violations)
         assert any("sum to 0" in v for v in violations)
+
+    def test_string_weight_in_pickone_is_a_violation(self):
+        tree = East("x", pick_one(Node("fixed", "0.5", dictionary={"a": 1}),
+                                  fixed({"b": 1}, weight=0.5)))
+        violations = validate(tree)
+        assert "root.children[0]: weight '0.5' outside (0, 1]" in violations
+        assert any("sum to 0.5" in v for v in violations)
+
+    @pytest.mark.parametrize("phrase", ["hello\tthere", "a\nb", "a  b", " a", "a ", ""])
+    def test_phrase_must_be_single_space_joined_tokens(self, phrase):
+        tree = East("x", order(fixed({phrase: 1})))
+        assert validate(tree) == [f"root.children[0]: malformed phrase {phrase!r}"]
+        with pytest.raises(TreeValidationError):
+            deserialize(serialize(tree))
+
+    @pytest.mark.parametrize("slot", ["city name", "city\tname", " city", "city\n"])
+    def test_slot_label_must_be_one_token(self, slot):
+        tree = East("x", order(entity(slot)))
+        assert validate(tree) == [f"root.children[0]: malformed slot label {slot!r}"]
+
+    @pytest.mark.parametrize("intent", ["x\ny", "x\r", "x\u2028y", " x", "x\t", "  ", ""])
+    def test_intent_without_line_break_or_surrounding_space(self, intent):
+        tree = East(intent, order(fixed({"a": 1})))
+        message = f"root: intent must be one non-empty trimmed line, got {intent!r}"
+        assert validate(tree) == [message]
+        with pytest.raises(TreeValidationError):
+            deserialize(serialize(tree))
+
+    def test_inner_spaces_in_intent_and_phrase_are_fine(self):
+        assert validate(East("book a flight", order(fixed({"to the": 1})))) == []
 
     def test_depth_bound(self):
         node = fixed({"a": 1})

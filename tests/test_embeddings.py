@@ -60,6 +60,23 @@ class TestLoad:
         assert err.value.line == 5
         assert "'b'" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("a 3e-320\nb 1\n", 1),  # the norm underflows to 0: an inf unit row
+            ("a 1 0\nb 1e200 1e200\n", 2),  # the norm overflows: an all-zero unit row
+            ("a 1 0\nb 1e-160 0\n", 2),  # a subnormal sum of squares: a row longer than 1
+        ],
+    )
+    def test_norm_out_of_range_names_line(self, text, line):
+        with pytest.raises(EmbeddingFormatError, match="squared norm") as err:
+            load_embeddings(text)
+        assert err.value.line == line
+
+    def test_tiny_components_beside_a_normal_one_load(self):
+        table = load_embeddings("a 1e-160 1\nb 1e150 1e150\n")
+        assert table.unit.tolist() == [[1e-160, 1.0], [0.5 ** 0.5, 0.5 ** 0.5]]
+
     def test_unit_rows_and_norms(self):
         table = load_embeddings("a 3 4\nz 0 0\nb 0 -2\n")
         assert table.tokens == ["a", "b"]
