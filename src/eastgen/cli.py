@@ -31,7 +31,7 @@ from .corpus import (
     parse_records,
 )
 from .east import East, deserialize, entity_slots, iter_nodes, serialize
-from .embeddings import load_embeddings
+from .embeddings import iter_lines, load_embeddings
 from .errors import EastgenError, MissingLexiconError, TreeSchemaError, TreeValidationError
 from .generator import (
     GenerationConfig,
@@ -44,6 +44,7 @@ from .regex_export import dump_bundle, export_regex
 
 TREE_SUFFIX = ".east.json"
 LEXICON_FILENAME = "lexicon.json"
+MANIFEST_FILENAME = "manifest.json"
 # options that name input files: a manifest lists them under "inputs" and
 # every other parsed option under "config"
 INPUT_OPTIONS = ("corpus", "trees", "lexicon", "embeddings")
@@ -101,11 +102,33 @@ def _write_manifest(
         handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _read_text(path: str | Path) -> str:
+@contextmanager
+def _open_text(path: str | Path) -> Iterator[TextIO]:
+    """Open `path` as UTF-8 text; a decode error, wherever it is met, names the
+    file and, for a regular file, the line of the first byte that is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            yield handle
     except UnicodeDecodeError as exc:
-        raise EastgenError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+        line = _first_bad_line(path) if os.path.isfile(path) else None  # a pipe is spent
+        where = f" (line {line})" if line else ""
+        raise EastgenError(f"{path}: not UTF-8 text{where}") from exc
+
+
+def _first_bad_line(path: str | Path) -> int | None:
+    """The line, as str.splitlines() numbers them, of the first non-UTF-8 byte."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(iter_lines(handle), start=1):
+            try:
+                line.encode("utf-8")  # fails only on a byte surrogateescape kept
+            except UnicodeEncodeError:
+                return lineno
+    return None
+
+
+def _read_text(path: str | Path) -> str:
+    with _open_text(path) as handle:
+        return handle.read()
 
 
 def _read_corpus(path: str, fmt: str, synthetic_intent: str | None) -> Dataset:
@@ -120,8 +143,12 @@ def _write_per_intent(
     """Write each (intent, text) as it is drawn to `out`/<name><suffix>.
 
     The name is the intent reduced to file-safe characters, with _2, _3, ...
-    appended when an earlier intent took it. Returns the written paths.
+    appended when an earlier intent took it. Files with `suffix` that the
+    previous manifest in `out` lists and this run did not write are removed,
+    so an intent dropped since the last run leaves no stale file; a file no
+    manifest lists is never touched. Returns the written paths.
     """
+    stale = _listed_outputs(out, suffix)
     paths: list[Path] = []
     used: set[str] = set()
     for intent, text in docs:
@@ -133,7 +160,22 @@ def _write_per_intent(
         paths.append(out / f"{name}{suffix}")
         with _atomic_write(paths[-1]) as handle:
             handle.write(text)
+    for name in stale - {path.name for path in paths}:
+        (out / name).unlink(missing_ok=True)
     return paths
+
+
+def _listed_outputs(out: Path, suffix: str) -> set[str]:
+    """The names ending in `suffix` that `out`'s manifest lists as outputs."""
+    try:
+        manifest = json.loads((out / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+        names = list(manifest["outputs"])
+    except (OSError, ValueError, LookupError, TypeError):  # no manifest, or not one of ours
+        return set()
+    return {
+        name for name in names if isinstance(name, str)
+        and name.endswith(suffix) and name == Path(name).name  # only files in `out`
+    }
 
 
 def _tree_files(path: str) -> list[Path]:
@@ -189,7 +231,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     outputs.append(out / LEXICON_FILENAME)
     with _atomic_write(outputs[-1]) as handle:
         handle.write(_dump_lexicon(dataset.lexicon))
-    _write_manifest(out / "manifest.json", args, outputs)
+    _write_manifest(out / MANIFEST_FILENAME, args, outputs)
     print(f"built {len(trees)} tree(s) under {out}")
     return 0
 
@@ -208,7 +250,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not args.no_embeddings:
         if not args.embeddings:
             raise EastgenError("an embedding file is required unless --no-embeddings")
-        table = load_embeddings(_read_text(args.embeddings))
+        with _open_text(args.embeddings) as handle:
+            table = load_embeddings(handle)  # streamed: the text is never held whole
 
     if dataset is None and args.count is None:
         raise EastgenError("--count is required when only a lexicon is given")
@@ -249,7 +292,7 @@ def cmd_export_regex(args: argparse.Namespace) -> int:
         (intent, dump_bundle(export_regex(tree, lexicon))) for intent, tree in trees.items()
     )
     outputs = _write_per_intent(out, ".regex.txt", bundles)
-    _write_manifest(out / "manifest.json", args, outputs)
+    _write_manifest(out / MANIFEST_FILENAME, args, outputs)
     print(f"exported {len(outputs)} bundle(s) under {out}")
     return 0
 

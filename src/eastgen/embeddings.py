@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -20,6 +20,7 @@ log = logging.getLogger(__name__)
 # below this norm the row's sum of squares is subnormal or 0, so the norm is
 # imprecise or 0; above about 1.3e154 the sum of squares overflows to inf
 MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
+NORM_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -47,15 +48,34 @@ class EmbeddingTable:
         return self.unit[i] * self.norms[i]
 
 
-def load_embeddings(text: str) -> EmbeddingTable:
-    """Parse embedding rows; first occurrence wins for duplicate tokens.
+def iter_lines(handle: TextIO) -> Iterator[str]:
+    """The lines of an open file as ``str.splitlines()`` splits its whole text."""
+    for physical in handle:
+        yield from physical.splitlines()  # also at \x0c, \x85, \u2028, ...
 
+
+def load_embeddings(source: str | TextIO) -> EmbeddingTable:
+    """Parse embedding rows from text or an open text file; first occurrence
+    wins for duplicate tokens.
+
+    A seekable file is read twice, once to count its lines and once to parse
+    them into one preallocated matrix, so neither its text nor its list of
+    lines is ever held; a file that cannot seek (a pipe) is read whole.
     Zero rows are rejected with a warning (their count is kept on the
     table); a row whose width disagrees with the established dimension, or
     that has a non-finite component or a norm whose square underflows or
     overflows float64, is an error naming the offending line.
     """
-    lines = text.splitlines()
+    if not isinstance(source, str) and not source.seekable():
+        source = source.read()
+    if isinstance(source, str):
+        lines: Iterable[str] = source.splitlines()
+        capacity = len(lines)
+    else:
+        start = source.tell()
+        capacity = sum(1 for _ in iter_lines(source))
+        source.seek(start)
+        lines = iter_lines(source)
     index: dict[str, int] = {}  # token -> row, in row order
     line_of: list[int] = []  # source line of each kept row
     matrix: np.ndarray | None = None
@@ -68,7 +88,7 @@ def load_embeddings(text: str) -> EmbeddingTable:
         if len(parts) < 2:
             raise EmbeddingFormatError("expected 'token v1 ... vD'", lineno)
         if matrix is None:  # the first row fixes the dimension
-            matrix = np.empty((len(lines), len(parts) - 1), dtype=np.float64)
+            matrix = np.empty((capacity, len(parts) - 1), dtype=np.float64)
         elif len(parts) - 1 != matrix.shape[1]:
             raise EmbeddingFormatError(
                 f"dimension {len(parts) - 1} != established {matrix.shape[1]}", lineno
@@ -92,16 +112,21 @@ def load_embeddings(text: str) -> EmbeddingTable:
         raise EmbeddingFormatError("no embedding rows found", 1)
     tokens = list(index)
     matrix = matrix[: len(tokens)]
+    # row blocks bound the x*x temporary of norm; each row reduces on its own,
+    # so the bits are those of one call on the whole matrix
+    norms = np.empty(len(tokens))
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
-        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    usable = (norms[:, 0] >= MIN_NORM) & (norms[:, 0] < np.inf)  # False for NaN too
+        for start in range(0, len(tokens), NORM_BLOCK_ROWS):
+            block = slice(start, start + NORM_BLOCK_ROWS)
+            norms[block] = np.linalg.norm(matrix[block], axis=1)
+    usable = (norms >= MIN_NORM) & (norms < np.inf)  # False for NaN too
     if not usable.all():
         row = int(np.argmin(usable))
         fault = ("non-finite component" if not np.isfinite(matrix[row]).all()
                  else "squared norm underflows or overflows float64")
         raise EmbeddingFormatError(f"{fault} for {tokens[row]!r}", line_of[row])
-    matrix /= norms  # in place: the table keeps only the unit-normalized rows
-    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms[:, 0], skipped)
+    matrix /= norms[:, None]  # in place: the table keeps only the unit-normalized rows
+    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, skipped)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:

@@ -237,6 +237,29 @@ class TestNonUtf8Input:
         assert "Traceback" not in captured.out + captured.err
 
 
+    def test_streamed_embeddings_name_the_line_of_a_late_bad_byte(
+        self, built, tmp_path, capsys
+    ):
+        bad = tmp_path / "vectors.txt"
+        rows = "".join(f"w{i} {i % 7 + 1} 0.5 -0.25\n" for i in range(4000))
+        bad.write_bytes(rows.encode() + b"caf\xe9 1 0 0\n")
+        assert bad.stat().st_size > 64 * 1024  # past the decoder's first chunks
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+            "--embeddings", str(bad), "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "out.conll"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (line 4001)\n"
+        assert not (tmp_path / "out.conll").exists()
+
+    def test_whole_file_reads_name_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.conll"
+        bad.write_bytes(b"hi\tO\r\n\x0cyo\tO\n\ncaf\xe9\tO\n")
+        assert main(["build", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (line 5)\n"
+
+
 class TestAtomicOutput:
     def test_failed_emit_leaves_old_output_and_no_temp_file(
         self, built, tmp_path, capsys, monkeypatch
@@ -548,6 +571,80 @@ class TestTreeFiles:
         ]) == 0
         assert (bundles / "a_b.regex.txt").read_text().startswith("# intent: a b\n")
         assert (bundles / "a_b_2.regex.txt").read_text().startswith("# intent: a_b\n")
+
+
+class TestStaleOutputs:
+    """A re-run into the same directory removes the per-intent files its
+    previous manifest listed and it did not write again; nothing else."""
+
+    @pytest.fixture
+    def corpora(self, tmp_path):
+        both = tmp_path / "both.conll"
+        both.write_text("# intent: a\nhi\tO\nparis\tB-city\n\n# intent: b\nyo\tO\n")
+        only_a = tmp_path / "a.conll"
+        only_a.write_text("# intent: a\nhi\tO\nparis\tB-city\n")
+        return both, only_a
+
+    def test_build_removes_trees_of_dropped_intents(self, corpora, tmp_path):
+        both, only_a = corpora
+        out = tmp_path / "out"
+        assert main(["build", str(both), "--out", str(out)]) == 0
+        assert (out / "b.east.json").exists()
+        assert main(["build", str(only_a), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.east.json", "lexicon.json", "manifest.json"
+        ]
+        corpus = tmp_path / "gen.conll"
+        assert main([
+            "generate", "--trees", str(out), "--corpus", str(only_a), "--no-embeddings",
+            "--seed", "1", "--count", "5", "--out", str(corpus),
+        ]) == 0
+        assert "# intent: b" not in corpus.read_text()
+        assert "# intent: a" in corpus.read_text()
+
+    def test_export_regex_removes_bundles_of_dropped_intents(self, corpora, tmp_path):
+        both, only_a = corpora
+        bundles = tmp_path / "bundles"
+        for corpus in (both, only_a):
+            trees = tmp_path / corpus.stem
+            assert main(["build", str(corpus), "--out", str(trees)]) == 0
+            assert main([
+                "export-regex", "--trees", str(trees),
+                "--lexicon", str(trees / "lexicon.json"), "--out", str(bundles),
+            ]) == 0
+        assert sorted(p.name for p in bundles.iterdir()) == ["a.regex.txt", "manifest.json"]
+        manifest = json.loads((bundles / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["a.regex.txt"]
+
+    def test_unlisted_files_survive(self, corpora, tmp_path):
+        both, only_a = corpora
+        out = tmp_path / "out"
+        assert main(["build", str(both), "--out", str(out)]) == 0
+        hand = out / "hand.east.json"
+        hand.write_text((out / "b.east.json").read_text())
+        (out / "notes.regex.txt").write_text("kept\n")
+        assert main(["build", str(only_a), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.east.json", "hand.east.json", "lexicon.json", "manifest.json",
+            "notes.regex.txt",
+        ]
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["not json", '{"outputs": 3}', '["b.east.json"]',
+         '{"outputs": {"../b.east.json": "", "b.east.json/": "", "7": ""}}'],
+    )
+    def test_a_foreign_manifest_removes_nothing_outside_its_listing(
+        self, corpora, tmp_path, manifest
+    ):
+        both, only_a = corpora
+        out = tmp_path / "out"
+        assert main(["build", str(both), "--out", str(out)]) == 0
+        (out / "manifest.json").write_text(manifest)
+        (tmp_path / "b.east.json").write_text("outside\n")
+        assert main(["build", str(only_a), "--out", str(out)]) == 0
+        assert (out / "b.east.json").exists()
+        assert (tmp_path / "b.east.json").read_text() == "outside\n"
 
 
 class TestMissingTrainingSize:

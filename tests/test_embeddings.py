@@ -1,8 +1,10 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eastgen import cosine_similarity, k_nearest, load_embeddings
 from eastgen.embeddings import k_nearest_among
@@ -90,6 +92,78 @@ class TestLoad:
         assert len(table) == 1000
         assert table.dimension == 16
         assert np.allclose(table.vector("tok0042"), vectors["tok0042"])
+
+
+def _outcome(source):
+    """What a load gives: the table's tokens and bits, or the error and its line."""
+    try:
+        table = load_embeddings(source)
+    except EmbeddingFormatError as exc:
+        return type(exc), exc.line, str(exc)
+    return table.tokens, table.unit.tobytes(), table.norms.tobytes(), table.skipped_zero_rows
+
+
+_cell = st.sampled_from([
+    "1", "-2.5", "0", "0.0", "3e-320", "1e200", "nan", "inf", "x", "1_0", "",
+    "1\x0c2", "0\x852", "2\u20281", "1\r0", "1\r\n0",
+])
+_row = st.builds(
+    lambda token, cells: " ".join([token, *cells]),
+    st.sampled_from(["a", "b", "c", "z", "  "]),
+    st.lists(_cell, min_size=0, max_size=3),
+)
+_end = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\x0c", "\x85", "\u2028", " \n"])
+_tables = st.lists(st.tuples(_row, _end), max_size=8).map(
+    lambda rows: "".join(row + end for row, end in rows)
+)
+
+
+class TestStreamedLoad:
+    """An open file loads exactly as its whole text does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_tables)
+    def test_file_and_text_agree(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.txt"
+        path.write_text(text, encoding="utf-8", newline="")  # the bytes, untranslated
+        with open(path, encoding="utf-8") as handle:
+            assert _outcome(handle) == _outcome(text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2029"])
+    def test_every_line_boundary_counts(self, tmp_path, end):
+        path = tmp_path / "t.txt"
+        path.write_text(f"a 1 0{end}{end}b 0 1{end}c 1{end}", encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as handle, pytest.raises(EmbeddingFormatError) as err:
+            load_embeddings(handle)
+        assert err.value.line == 4
+
+    def test_pipe_is_read_whole(self):
+        read_end, write_end = os.pipe()
+        with open(write_end, "w", encoding="utf-8") as sink:
+            sink.write("a 3 4\nb 0 -2\n")
+        with open(read_end, encoding="utf-8") as handle:
+            assert not handle.seekable()
+            table = load_embeddings(handle)
+        assert table.unit.tolist() == [[0.6, 0.8], [0.0, -1.0]]
+
+    def test_peak_memory_is_about_the_matrix(self, tmp_path):
+        # 7 bytes a component, so the text is about as large as the matrix
+        values = np.random.default_rng(5).integers(100_000, 1_000_000, size=(4000, 300))
+        path = tmp_path / "table.txt"
+        with open(path, "w", encoding="utf-8") as sink:
+            for i, row in enumerate(values.tolist()):
+                sink.write(f"w{i} " + " ".join(map(str, row)) + "\n")
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                table = load_embeddings(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.unit.shape == (4000, 300)
+        # the whole text, its line list or a full-matrix norm temporary
+        # would each add about one more matrix
+        assert peak < 1.5 * table.unit.nbytes
 
 
 class TestCosine:
