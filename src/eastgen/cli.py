@@ -32,7 +32,10 @@ from .corpus import (
 )
 from .east import East, deserialize, entity_slots, iter_nodes, serialize
 from .embeddings import iter_lines, load_embeddings
-from .errors import EastgenError, MissingLexiconError, TreeSchemaError, TreeValidationError
+from .errors import (
+    EastgenError, EmbeddingFormatError, MissingLexiconError, TreeSchemaError,
+    TreeValidationError,
+)
 from .generator import (
     GenerationConfig,
     GenerationStats,
@@ -250,8 +253,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if not args.no_embeddings:
         if not args.embeddings:
             raise EastgenError("an embedding file is required unless --no-embeddings")
-        with _open_text(args.embeddings) as handle:
-            table = load_embeddings(handle)  # streamed: the text is never held whole
+        try:
+            with _open_text(args.embeddings) as handle:
+                table = load_embeddings(handle)  # streamed: the text is never held whole
+        except EmbeddingFormatError as exc:
+            raise EastgenError(f"{args.embeddings}: {exc}") from exc
 
     if dataset is None and args.count is None:
         raise EastgenError("--count is required when only a lexicon is given")

@@ -1,13 +1,18 @@
 """Word-vector table with exact cosine-similarity nearest-neighbor lookup.
 
 The file format is the common text convention: one ``token v1 v2 ... vD``
-row per line, space-separated, no header. Lookups are exact scans over the
-full table; no approximate indexing.
+row per line, space-separated, no header. Nearest-neighbor lookups are
+exact, with no approximate indexing: one GEMM per block of queries
+short-lists the rows near each query's k-th score, and only those are
+re-scored with a correctly rounded sum (after Johnson et al., "Billion-scale
+similarity search with GPUs", arXiv:1702.08734). Similarities and their
+order therefore do not depend on the BLAS build or the block a query is in.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -142,43 +147,54 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def k_nearest(table: EmbeddingTable, query: str, k: int) -> list[tuple[str, float]]:
-    """The k most cosine-similar tokens to `query`, excluding the query itself.
+def k_nearest(
+    table: EmbeddingTable, query: str, k: int, among: Sequence[str] | None = None
+) -> list[tuple[str, float]]:
+    """The k nearest neighbors of one query: a block of one for k_nearest_block."""
+    return k_nearest_block(table, [query], k, among)[0]
 
-    Descending similarity; exact ties break by lexicographic token order.
-    Raises OutOfVocabularyError when the query has no vector.
+
+def k_nearest_block(
+    table: EmbeddingTable, queries: Sequence[str], k: int,
+    among: Sequence[str] | None = None,
+) -> list[list[tuple[str, float]]]:
+    """For each query, the k most cosine-similar tokens other than itself, in
+    order of (-similarity, token); candidates are every row, or only the
+    in-vocabulary tokens of `among`.
+
+    One GEMM scores the block against the candidates, in len(queries) x
+    candidates x 8 bytes, so callers bound the block. A GEMM score is off the
+    exact dot product of two unit rows by at most about D x eps / 2 and
+    ``math.fsum(unit[i] * q)``, a correctly rounded sum of correctly rounded
+    products, by at most eps. So every candidate within 2 x (D + 2) x eps of a
+    query's k-th GEMM score is kept and re-scored with ``fsum``, and the
+    result is exact: the same whatever the block, the BLAS build or its
+    kernel. Raises OutOfVocabularyError for the first query without a vector.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if query not in table.index:
-        raise OutOfVocabularyError(query)
-    qi = table.index[query]
-    sims = table.unit @ table.unit[qi]
-    sims[qi] = -np.inf  # exclude the query from its own neighborhood
-
-    n = len(table.tokens)
-    if n - 1 <= k:
-        candidates = [i for i in range(n) if i != qi]
+    for query in queries:
+        if query not in table.index:
+            raise OutOfVocabularyError(query)
+    unit = table.unit
+    rows = np.array([table.index[q] for q in queries], dtype=np.intp)
+    if among is None:
+        candidates = np.arange(len(table.tokens))
+        scores = unit[rows] @ unit.T
     else:
-        # widen the kth-value cut to every exact tie before ordering
-        top = np.argpartition(sims, -k)[-k:]
-        kth = sims[top].min()
-        candidates = np.flatnonzero(sims >= kth).tolist()
-    candidates.sort(key=lambda i: (-sims[i], table.tokens[i]))
-    return [(table.tokens[i], float(sims[i])) for i in candidates[:k]]
+        in_table = (table.index[t] for t in dict.fromkeys(among) if t in table.index)
+        candidates = np.fromiter(in_table, dtype=np.intp)
+        scores = unit[rows] @ unit[candidates].T
+    scores[candidates[None, :] == rows[:, None]] = -np.inf  # no query is its own neighbor
+    margin = 2 * (table.dimension + 2) * np.finfo(np.float64).eps
 
-
-def k_nearest_among(
-    table: EmbeddingTable, query: str, k: int, pool: Sequence[str]
-) -> list[tuple[str, float]]:
-    """k_nearest restricted to a candidate pool (e.g. a slot's lexicon)."""
-    if query not in table.index:
-        raise OutOfVocabularyError(query)
-    q = table.unit[table.index[query]]
-    scored = [
-        (t, float(table.unit[table.index[t]] @ q))
-        for t in dict.fromkeys(pool)
-        if t != query and t in table.index
-    ]
-    scored.sort(key=lambda ts: (-ts[1], ts[0]))
-    return scored[:k]
+    results = []
+    for row, sims in zip(rows.tolist(), scores):
+        if len(sims) > k:  # then the k-th score is finite
+            kept = candidates[sims >= np.partition(sims, -k)[-k] - margin]
+        else:
+            kept = candidates[sims > -np.inf]
+        exact = map(math.fsum, (unit[kept] * unit[row]).tolist())
+        scored = sorted(zip(exact, kept.tolist()), key=lambda si: (-si[0], table.tokens[si[1]]))
+        results.append([(table.tokens[i], sim) for sim, i in scored[:k]])
+    return results

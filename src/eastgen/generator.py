@@ -35,10 +35,13 @@ from typing import NamedTuple, Sequence, TextIO
 
 from .corpus import AnnotatedSentence, Dataset, EntityLexicon
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
-from .embeddings import EmbeddingTable, k_nearest, k_nearest_among
+from .embeddings import EmbeddingTable, k_nearest_block
 from .errors import MissingLexiconError, MissingTrainingSizeError
 
 OUTPUT_FORMATS = ("conll", "records")
+# kNN pools are built this many queries at a time: one GEMM's scores take
+# QUERY_BLOCK x table rows x 8 bytes (3.2 MB at 25,000 rows)
+QUERY_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,31 @@ class _Fills:
         )
         return entry
 
+    def load_pools(self, slot: str, candidate: str) -> dict:
+        """Build the pools of one query block: `candidate` and up to
+        QUERY_BLOCK - 1 more of the slot's single-token, in-vocabulary forms
+        that have none yet, in lexicon order. A pool takes no randomness and
+        is exact in any block, so which forms share a block changes nothing.
+        """
+        within = self.config.neighbors_within_lexicon
+        singles = [f for f in self.lexicon.entries[slot] if " " not in f]
+        block = [candidate]
+        for form in singles:
+            if len(block) == QUERY_BLOCK:
+                break
+            if (form != candidate and form in self.table
+                    and ((slot, form) if within else form) not in self.pools):
+                block.append(form)
+        blocks = k_nearest_block(self.table, block, self.config.k,
+                                 singles if within else None)
+        for query, neighbors in zip(block, blocks):
+            kept = [(t, sim) for t, sim in neighbors if sim > 0.0]  # sims are weights
+            self.pools[(slot, query) if within else query] = (
+                tuple(accumulate([1.0] + [sim for _, sim in kept])),
+                ((query,),) + tuple((t,) for t, _ in kept),
+            )
+        return self.pools
+
     def substitute(self, slot: str, tokens: tuple[str, ...], random) -> tuple[str, ...]:
         """Re-sample a drawn form from itself plus its nearest neighbors."""
         if len(tokens) > 1:  # no composition rule for multi-token forms
@@ -137,20 +165,8 @@ class _Fills:
         if candidate not in self.table:
             self.stats.oov_bypasses += 1
             return tokens
-        within = self.config.neighbors_within_lexicon
-        key = (slot, candidate) if within else candidate
-        pool = self.pools.get(key)
-        if pool is None:
-            if within:
-                forms = [f for f in self.lexicon.entries[slot] if " " not in f]
-                neighbors = k_nearest_among(self.table, candidate, self.config.k, forms)
-            else:
-                neighbors = k_nearest(self.table, candidate, self.config.k)
-            kept = [(t, sim) for t, sim in neighbors if sim > 0.0]  # sims are weights
-            pool = self.pools[key] = (
-                tuple(accumulate([1.0] + [sim for _, sim in kept])),
-                (tokens,) + tuple((t,) for t, _ in kept),
-            )
+        key = (slot, candidate) if self.config.neighbors_within_lexicon else candidate
+        pool = self.pools.get(key) or self.load_pools(slot, candidate)[key]
         cum, choices = pool
         i = _draw(cum, random)
         if i:

@@ -374,6 +374,26 @@ class TestNerFlow:
 
 
 class TestEmbeddingsFlow:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("paris 1 0\nlyon 1 x\n",
+             "line 2: non-numeric component: could not convert string to float: 'x'"),
+            ("paris 1 0\nlyon 1\n", "line 2: dimension 1 != established 2"),
+            ("", "line 1: no embedding rows found"),
+        ],
+    )
+    def test_format_error_names_the_file(self, built, tmp_path, capsys, rows, message):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text(rows)
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+            "--embeddings", str(vectors), "--seed", "1", "--count", "3",
+            "--out", str(tmp_path / "out.conll"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {vectors}: {message}\n"
+
     def test_generate_with_embedding_substitution(self, built, tmp_path):
         # vectors chosen so city names neighbor each other
         vectors = tmp_path / "vectors.txt"

@@ -1,13 +1,18 @@
+import functools
 import math
+import operator
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eastgen import cosine_similarity, k_nearest, load_embeddings
-from eastgen.embeddings import k_nearest_among
+from eastgen.embeddings import k_nearest_block
 from eastgen.errors import EmbeddingFormatError, OutOfVocabularyError
 
 from helpers import brute_force_knn
@@ -254,5 +259,154 @@ class TestKNearest:
 
     def test_restricted_pool(self):
         table = load_embeddings("q 1 0\na 1 1\nb 1 0\nc 0 1\n")
-        result = k_nearest_among(table, "q", 2, ["a", "c", "q", "unknown"])
+        result = k_nearest(table, "q", 2, among=["a", "c", "q", "unknown"])
         assert [t for t, _ in result] == ["a", "c"]
+
+
+def _exact_knn(table, query, k, among=None):
+    """Brute force: every candidate row scored with fsum, then (-sim, token)."""
+    q = table.unit[table.index[query]]
+    names = table.tokens if among is None else [t for t in dict.fromkeys(among) if t in table]
+    scored = [
+        (t, math.fsum((table.unit[table.index[t]] * q).tolist()))
+        for t in names if t != query
+    ]
+    scored.sort(key=lambda ts: (-ts[1], ts[0]))
+    return scored[:k]
+
+
+def _left_to_right_dot(a, b):
+    """A float dot product summed in one fixed order, as a naive kernel would."""
+    return functools.reduce(operator.add, (a * b).tolist())
+
+
+@pytest.fixture(scope="module")
+def tie_table():
+    """300 seeded rows of 12 components, a third of them copies of other rows
+    under other tokens (exact ties) and some others scaled copies."""
+    rng = np.random.default_rng(41)
+    base = np.round(rng.normal(size=(200, 12)), 2)
+    rows = [(f"w{i:03d}", row) for i, row in enumerate(base)]
+    for j, i in enumerate(rng.choice(200, size=100)):
+        scale = 1.0 if j % 2 else 2.0 ** int(rng.integers(-3, 4))
+        rows.append((f"v{j:03d}", base[i] * scale))
+    order = rng.permutation(len(rows))
+    text = "".join(
+        rows[i][0] + " " + " ".join(map(repr, rows[i][1].tolist())) + "\n" for i in order
+    )
+    return load_embeddings(text)
+
+
+@pytest.fixture(scope="module")
+def near_tie_table():
+    """Rows that differ from one another by a few units in the last place, so
+    many similarities to any query lie within a few ulps of one another."""
+    rng = np.random.default_rng(43)
+    base = rng.normal(size=24)
+    noise = rng.integers(-4, 5, size=(400, 24)) * np.spacing(np.abs(base))
+    text = "".join(
+        f"n{i:03d} " + " ".join(map(repr, (base + row).tolist())) + "\n"
+        for i, row in enumerate(noise)
+    )
+    return load_embeddings(text)
+
+
+class TestExactScorer:
+    @pytest.mark.parametrize("k", [1, 3, 10, 299, 400])
+    def test_equals_a_brute_force_fsum_scan(self, tie_table, k):
+        for query in tie_table.tokens[::7]:
+            assert k_nearest(tie_table, query, k) == _exact_knn(tie_table, query, k)
+
+    def test_fixture_has_exact_ties_inside_the_top_k(self, tie_table):
+        sims = [sim for query in tie_table.tokens[::7]
+                for _, sim in _exact_knn(tie_table, query, 10)]
+        assert len(sims) - len(set(sims)) > 20
+
+    def test_order_is_exact_where_a_float_dot_ties(self):
+        # b's products with q are 0.5, 2^-54, 2^-54 and 0: summed left to right
+        # they round to 0.5, a's exact score, but their exact sum is 0.5 + 2^-53
+        h, c = 2.0 ** -27, 0.8660254037844387  # c makes both norms exactly 1
+        table = load_embeddings(
+            f"q 1 {h!r} {h!r} 0\na 0.5 0 0 {c!r}\nb 0.5 {h!r} {h!r} {c!r}\n"
+        )
+        q, a, b = table.unit
+        assert _left_to_right_dot(a, q) == _left_to_right_dot(b, q) == 0.5
+        expected = [("b", 0.5 + 2.0 ** -53), ("a", 0.5)]
+        assert k_nearest(table, "q", 2) == expected
+        assert k_nearest(table, "q", 2, among=["a", "b"]) == expected
+        assert k_nearest(table, "q", 1) == expected[:1]
+
+    def test_near_ties_follow_the_exact_order(self, near_tie_table):
+        table = near_tie_table
+        queries = table.tokens[:40]
+        disagreements = 0
+        for query in queries:
+            expected = _exact_knn(table, query, 8)
+            assert k_nearest(table, query, 8) == expected
+            q = table.unit[table.index[query]]
+            naive = sorted(
+                ((t, _left_to_right_dot(table.unit[table.index[t]], q))
+                 for t in table.tokens if t != query),
+                key=lambda ts: (-ts[1], ts[0]),
+            )[:8]
+            disagreements += [t for t, _ in naive] != [t for t, _ in expected]
+        assert disagreements > 0  # the fixture does separate the two orders
+
+    def test_block_size_changes_nothing(self, near_tie_table, tie_table):
+        for table in (near_tie_table, tie_table):
+            queries = table.tokens[:48]
+            whole = k_nearest_block(table, queries, 6)
+            for size in (1, 16):
+                blocks = [k_nearest_block(table, queries[i:i + size], 6)
+                          for i in range(0, len(queries), size)]
+                assert [r for block in blocks for r in block] == whole
+            assert whole == [_exact_knn(table, q, 6) for q in queries]
+
+    def test_among(self, tie_table):
+        pool = tie_table.tokens[::3] + ["unknown", tie_table.tokens[3]]
+        queries = tie_table.tokens[:20]
+        got = k_nearest_block(tie_table, queries, 5, among=pool)
+        assert got == [_exact_knn(tie_table, q, 5, among=pool) for q in queries]
+        assert all(t in pool and t != q for q, result in zip(queries, got) for t, _ in result)
+
+    def test_among_with_no_candidates(self, tie_table):
+        query = tie_table.tokens[0]
+        assert k_nearest(tie_table, query, 3, among=[query, "unknown"]) == []
+
+    def test_oov_query_in_a_block(self, tie_table):
+        with pytest.raises(OutOfVocabularyError) as err:
+            k_nearest_block(tie_table, [tie_table.tokens[0], "unknown", "missing"], 3)
+        assert err.value.token == "unknown"
+
+    def test_k_must_be_positive(self, tie_table):
+        with pytest.raises(ValueError):
+            k_nearest_block(tie_table, tie_table.tokens[:2], 0)
+
+
+_KERNEL_CHILD = """
+import hashlib, sys
+import numpy as np
+from eastgen.embeddings import EmbeddingTable, k_nearest
+matrix = np.random.default_rng(71).normal(size=(5000, 300))
+norms = np.linalg.norm(matrix, axis=1)
+tokens = [f"t{i}" for i in range(5000)]
+table = EmbeddingTable(300, tokens, {t: i for i, t in enumerate(tokens)},
+                       matrix / norms[:, None], norms)
+result = [k_nearest(table, t, 10) for t in tokens[::50]]
+print(hashlib.sha256(repr(result).encode()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_kernel():
+    """Children forced onto OpenBLAS's SSE3 and AVX2 kernels give the same bits
+    (another BLAS ignores the variable, and the two children agree anyway)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for coretype in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]

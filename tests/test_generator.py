@@ -26,6 +26,7 @@ from eastgen import (
     parse_records,
     pick_one,
 )
+from eastgen import generator
 from eastgen.errors import MissingLexiconError
 
 from helpers import (
@@ -156,6 +157,26 @@ class TestEmbeddingSubstitution:
         for _ in range(200):
             s = generate_one(tree, lexicon, table, config, rng)
             assert s.tokens[0] in {"tok0001", "tok0002", "tok0003"}
+
+
+    @pytest.mark.parametrize("within", [False, True])
+    def test_query_block_size_changes_nothing(self, table, monkeypatch, within):
+        tree = East("x", order(entity("city"), fixed({"to": 1}), entity("city")))
+        lexicon = EntityLexicon()
+        for i in range(0, 400, 9):
+            lexicon.add("city", f"tok{i:04d}")
+        lexicon.add("city", "zzz-not-in-table")
+        lexicon.add("city", "tok0001 tok0002")
+        config = cfg(use_embeddings=True, count=300, k=4, neighbors_within_lexicon=within)
+        runs = []
+        for size in (1, 16, 1000):
+            monkeypatch.setattr(generator, "QUERY_BLOCK", size)
+            stats = GenerationStats()
+            out = generate_batch({"x": tree}, None, config, table, lexicon=lexicon,
+                                 stats=stats)
+            runs.append((out, stats.to_dict()))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1]["knn_fills"] > 0
 
 
 class TestDistribution:
