@@ -282,8 +282,9 @@ def _left_to_right_dot(a, b):
 
 @pytest.fixture(scope="module")
 def tie_table():
-    """300 seeded rows of 12 components, a third of them copies of other rows
-    under other tokens (exact ties) and some others scaled copies."""
+    """300 seeded rows of 12 components; 100 of them copy another row under
+    another token, half of those scaled by a power of two, which normalises
+    to the same unit row, so exact ties abound."""
     rng = np.random.default_rng(41)
     base = np.round(rng.normal(size=(200, 12)), 2)
     rows = [(f"w{i:03d}", row) for i, row in enumerate(base)]
@@ -384,22 +385,24 @@ class TestExactScorer:
 
 
 _KERNEL_CHILD = """
-import hashlib, sys
+import hashlib
 import numpy as np
-from eastgen.embeddings import EmbeddingTable, k_nearest
+from eastgen.embeddings import EmbeddingTable, k_nearest, k_nearest_block
 matrix = np.random.default_rng(71).normal(size=(5000, 300))
 norms = np.linalg.norm(matrix, axis=1)
 tokens = [f"t{i}" for i in range(5000)]
 table = EmbeddingTable(300, tokens, {t: i for i, t in enumerate(tokens)},
                        matrix / norms[:, None], norms)
 result = [k_nearest(table, t, 10) for t in tokens[::50]]
+result += k_nearest_block(table, tokens[::125], 10)  # a GEMM with 40 rows
 print(hashlib.sha256(repr(result).encode()).hexdigest())
 """
 
 
 def test_results_do_not_depend_on_the_blas_kernel():
     """Children forced onto OpenBLAS's SSE3 and AVX2 kernels give the same bits
-    (another BLAS ignores the variable, and the two children agree anyway)."""
+    (another BLAS ignores the variable, and the two children agree anyway).
+    A gemv or GEMM score alone differs between the two."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for coretype in ("Prescott", "Haswell"):
