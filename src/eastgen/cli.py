@@ -275,6 +275,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sentences = generate_batch(
         trees, dataset, config, table, lexicon=lexicon, stats=stats
     )
+    del table  # frees the matrix before emit renders the texts
+    empty = next((s for s in sentences if not s.tokens), None)
+    if empty is not None:  # it would write a corpus that does not re-parse
+        raise EastgenError(
+            f"the tree of intent {empty.intent!r} drew a sentence with no tokens: "
+            "every node that carries tokens was dropped"
+        )
 
     out = Path(args.out)
     with _atomic_write(out) as handle:

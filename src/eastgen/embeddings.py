@@ -7,6 +7,9 @@ short-lists the rows near each query's k-th score, and only those are
 re-scored with a correctly rounded sum (after Johnson et al., "Billion-scale
 similarity search with GPUs", arXiv:1702.08734). Similarities and their
 order therefore do not depend on the BLAS build or the block a query is in.
+
+numpy is imported by the functions that use it, not by this module, so a
+program that loads no embeddings never loads numpy or its BLAS.
 """
 
 from __future__ import annotations
@@ -14,17 +17,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from .errors import EmbeddingFormatError, OutOfVocabularyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
 # below this norm the row's sum of squares is subnormal or 0, so the norm is
-# imprecise or 0; above about 1.3e154 the sum of squares overflows to inf
-MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))  # about 1.5e-154
+# imprecise or 0; above about 1.3e154 the sum of squares overflows to inf.
+# It is sqrt of float64's smallest normal, 2 ** -1022, and exact.
+MIN_NORM = 2.0 ** -511  # about 1.5e-154
 NORM_BLOCK_ROWS = 1024
 
 
@@ -71,6 +76,8 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
     that has a non-finite component or a norm whose square underflows or
     overflows float64, is an error naming the offending line.
     """
+    import numpy as np
+
     if not isinstance(source, str) and not source.seekable():
         source = source.read()
     if isinstance(source, str):
@@ -136,6 +143,8 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """dot(a, b) / (|a| * |b|); arguments must be same-length and nonzero."""
+    import numpy as np
+
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.shape != vb.shape:
@@ -171,6 +180,8 @@ def k_nearest_block(
     result is exact: the same whatever the block, the BLAS build or its
     kernel. Raises OutOfVocabularyError for the first query without a vector.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     for query in queries:

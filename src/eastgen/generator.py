@@ -14,6 +14,8 @@ One interpreter walks each tree's nodes, reading the cumulative weights
 and pre-split phrases every `Node` derives when it is built; the entity
 fill tables and kNN pools it draws from are built once per batch.
 Only `generate_one` records provenance (the branch choices taken).
+`emit` renders each distinct sentence once and writes that text for every
+repeat, since a large batch draws most of its sentences many times.
 
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
 only Random.random() is consumed, so byte-identical output for a given
@@ -31,7 +33,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .corpus import AnnotatedSentence, Dataset, EntityLexicon
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
@@ -301,24 +303,40 @@ def generate_batch(
     return out
 
 
+def _render_conll(s: GeneratedSentence | AnnotatedSentence) -> str:
+    head = f"# intent: {s.intent}\n" if s.intent is not None else ""
+    lines = [f"{token}\t{tag}\n" for token, tag in zip(s.tokens, s.slots)]
+    return head + "".join(lines) + "\n"
+
+
+def _render_record(s: GeneratedSentence | AnnotatedSentence) -> str:
+    record: dict = {"tokens": list(s.tokens), "slots": list(s.slots)}
+    if s.intent is not None:
+        record["intent"] = s.intent
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+_RENDERERS = {"conll": _render_conll, "records": _render_record}
+
+
 def emit(
-    sentences: Sequence[GeneratedSentence | AnnotatedSentence],
+    sentences: Iterable[GeneratedSentence | AnnotatedSentence],
     sink: TextIO,
     fmt: str,
 ) -> None:
-    """Write sentences in an ingestion format so output can be re-parsed."""
-    if fmt == "conll":
-        for s in sentences:
-            if s.intent is not None:
-                sink.write(f"# intent: {s.intent}\n")
-            for token, tag in zip(s.tokens, s.slots):
-                sink.write(f"{token}\t{tag}\n")
-            sink.write("\n")
-    elif fmt == "records":
-        for s in sentences:
-            record: dict = {"tokens": list(s.tokens), "slots": list(s.slots)}
-            if s.intent is not None:
-                record["intent"] = s.intent
-            sink.write(json.dumps(record, ensure_ascii=False) + "\n")
-    else:
+    """Write sentences in an ingestion format so output can be re-parsed.
+
+    Each distinct sentence, by hash and equality, is rendered once and its
+    text written again for every repeat: most sentences of a large batch
+    repeat one drawn before, whether or not equal ones share an object.
+    """
+    render = _RENDERERS.get(fmt)
+    if render is None:
         raise ValueError(f"unknown output format {fmt!r}")
+    rendered: dict = {}
+    write = sink.write
+    for s in sentences:
+        text = rendered.get(s)
+        if text is None:
+            text = rendered[s] = render(s)
+        write(text)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -422,6 +426,109 @@ class TestEmbeddingsFlow:
         assert "weekly" in filled
         stats = json.loads((tmp_path / "aug.conll.stats.json").read_text())
         assert stats["knn_fills"] > 0
+
+    def test_the_table_is_freed_before_emit(self, built, tmp_path, monkeypatch):
+        import eastgen.cli
+
+        tables = []
+        load, emit = eastgen.cli.load_embeddings, eastgen.cli.emit
+
+        def load_and_watch(handle):
+            table = load(handle)
+            tables.append(weakref.ref(table))
+            return table
+
+        def emit_once_freed(sentences, sink, fmt):
+            assert len(tables) == 1 and tables[0]() is None
+            emit(sentences, sink, fmt)
+
+        monkeypatch.setattr("eastgen.cli.load_embeddings", load_and_watch)
+        monkeypatch.setattr("eastgen.cli.emit", emit_once_freed)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("denver 1.0 0.1\nboston 1.0 0.2\ndallas 1.0 0.3\n")
+        code = main([
+            "generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+            "--embeddings", str(vectors), "--seed", "3", "--count", "20",
+            "--out", str(tmp_path / "aug.conll"),
+        ])
+        assert code == 0
+        assert len(parse_conll((tmp_path / "aug.conll").read_text())) == 20
+
+
+class TestEmptySentences:
+    """A tree that can drop every node carrying tokens draws empty sentences,
+    which neither format can carry: conll re-parses to fewer sentences and
+    a records line with no tokens fails to parse."""
+
+    def run(self, tmp_path, out, *extra):
+        tree = tmp_path / "a.east.json"
+        tree.write_text(json.dumps({"intent": "a", "root": {
+            "kind": "order",
+            "children": [{"kind": "fixed", "dictionary": {"x": 1}, "dropout": 0.9}],
+        }}))
+        (tmp_path / "lexicon.json").write_text("{}")
+        return main([
+            "generate", "--trees", str(tree), "--lexicon", str(tmp_path / "lexicon.json"),
+            "--no-embeddings", "--seed", "1", "--count", "5", "--out", str(out), *extra,
+        ])
+
+    @pytest.mark.parametrize("fmt", ["conll", "records"])
+    def test_generate_exits_one_naming_the_intent(self, tmp_path, capsys, fmt):
+        out = tmp_path / "out" / "aug.txt"
+        assert self.run(tmp_path, out, "--format", fmt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the tree of intent 'a' drew a sentence with no tokens")
+        assert not out.parent.exists()
+
+    def test_the_same_tree_without_dropout_generates(self, tmp_path):
+        out = tmp_path / "aug.conll"
+        assert self.run(tmp_path, out, "--no-dropout") == 0
+        assert [s.tokens for s in parse_conll(out.read_text())] == [("x",)] * 5
+
+
+_NUMPY_CHILD = """
+import json, sys
+import eastgen
+from eastgen.cli import main
+
+steps = [[0, "numpy" in sys.modules]]  # after import eastgen
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --version
+        code = exc.code
+    steps.append([code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_loads_only_with_embeddings(built, corpus_file, tmp_path):
+    """Only loading an embedding table imports numpy (and its BLAS); the
+    child starts clean, which this process, having imported numpy, is not."""
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("denver 1.0 0.1\nboston 1.0 0.2\n")
+    generate = ["generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+                "--seed", "1", "--count", "20"]
+    argvs = [
+        ["--version"],
+        ["build", str(corpus_file), "--out", str(tmp_path / "trees")],
+        ["export-regex", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+         "--out", str(tmp_path / "bundles")],
+        ["validate", "--trees", str(built)],
+        ["validate", "--corpus", str(corpus_file)],
+        ["stats", "--corpus", str(corpus_file)],
+        ["stats", "--trees", str(built)],
+        generate + ["--no-embeddings", "--out", str(tmp_path / "plain.conll")],
+        generate + ["--embeddings", str(vectors), "--out", str(tmp_path / "knn.conll")],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_CHILD, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    steps = json.loads(done.stdout.splitlines()[-1])  # [exit code, numpy loaded]
+    assert steps == [[0, False]] * len(argvs) + [[0, True]]
+    assert len(parse_conll((tmp_path / "knn.conll").read_text())) == 20
 
 
 class TestExportRegex:

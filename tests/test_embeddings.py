@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eastgen import cosine_similarity, k_nearest, load_embeddings
-from eastgen.embeddings import k_nearest_block
+from eastgen.embeddings import MIN_NORM, k_nearest_block
 from eastgen.errors import EmbeddingFormatError, OutOfVocabularyError
 
 from helpers import brute_force_knn
@@ -79,6 +79,9 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match="squared norm") as err:
             load_embeddings(text)
         assert err.value.line == line
+
+    def test_min_norm_is_the_root_of_the_smallest_normal(self):
+        assert MIN_NORM == float(np.sqrt(np.finfo(np.float64).tiny))
 
     def test_tiny_components_beside_a_normal_one_load(self):
         table = load_embeddings("a 1e-160 1\nb 1e150 1e150\n")

@@ -1,4 +1,5 @@
 import io
+import json
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from eastgen import (
     AnnotatedSentence,
     East,
     EntityLexicon,
+    GeneratedSentence,
     GenerationConfig,
     GenerationStats,
     abstract_entities,
@@ -27,6 +29,7 @@ from eastgen import (
     pick_one,
 )
 from eastgen import generator
+from eastgen.generator import OUTPUT_FORMATS
 from eastgen.errors import MissingLexiconError
 
 from helpers import (
@@ -333,7 +336,99 @@ class TestLanguageSoundness:
             assert len(s.tokens) == len(s.slots)
 
 
+def emit_per_token(sentences, fmt: str) -> list[str]:
+    """The reference emitter: every sentence formatted anew, token by token.
+    Both emitters return lines with their ends, which join to the bytes
+    written and which pytest compares quickly when they differ."""
+    sink = io.StringIO()
+    if fmt == "conll":
+        for s in sentences:
+            if s.intent is not None:
+                sink.write(f"# intent: {s.intent}\n")
+            for token, tag in zip(s.tokens, s.slots):
+                sink.write(f"{token}\t{tag}\n")
+            sink.write("\n")
+    else:
+        for s in sentences:
+            record: dict = {"tokens": list(s.tokens), "slots": list(s.slots)}
+            if s.intent is not None:
+                record["intent"] = s.intent
+            sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+    return sink.getvalue().splitlines(keepends=True)
+
+
+def emitted(sentences, fmt: str) -> list[str]:
+    sink = io.StringIO()
+    emit(sentences, sink, fmt)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+def unshared(s: GeneratedSentence) -> GeneratedSentence:
+    """An equal sentence that shares no tuple with `s`."""
+    return GeneratedSentence(*(tuple(list(part)) if isinstance(part, tuple) else part
+                               for part in s))
+
+
 class TestEmit:
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_a_batch_matches_the_per_token_emitter(self, airline_dataset, fmt):
+        out = generate_batch(build(airline_dataset), airline_dataset, cfg(count=200))
+        assert len({id(s) for s in out}) < len(out)  # equal sentences share objects
+        assert emitted(out, fmt) == emit_per_token(out, fmt)
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_equal_sentences_that_share_nothing(self, airline_dataset, fmt):
+        out = generate_batch(build(airline_dataset), airline_dataset, cfg(count=200))
+        copies = [unshared(s) for s in out]
+        assert all(c == s and c is not s and c.tokens is not s.tokens
+                   for c, s in zip(copies, out))
+        mixed = [x for pair in zip(out, copies) for x in pair]
+        assert emitted(mixed, fmt) == emit_per_token(mixed, fmt)
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_sentences_without_intent_and_non_ascii_tokens(self, fmt):
+        sentences = [
+            AnnotatedSentence(("vol", "pour", "Zürich"), ("O", "O", "B-city")),
+            AnnotatedSentence(("東京", "へ"), ("B-city", "O"), intent="旅行"),
+            AnnotatedSentence(("vol", "pour", "Zürich"), ("O", "O", "B-city")),
+            AnnotatedSentence(("vol", "pour", "Zürich"), ("O", "O", "B-city"), intent="a"),
+            GeneratedSentence(("🛫", "\u00e9"), ("B-x", "I-x"), "a", ()),
+            AnnotatedSentence(("東京", "へ"), ("B-city", "O"), intent="旅行"),
+        ]
+        lines = emitted(sentences, fmt)
+        assert lines == emit_per_token(sentences, fmt)
+        parse = parse_conll if fmt == "conll" else parse_records
+        assert [(s.tokens, s.slots, s.intent) for s in parse("".join(lines))] == [
+            (s.tokens, s.slots, s.intent) for s in sentences
+        ]
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_a_one_shot_generator(self, fmt):
+        """Each sentence is new and dropped once written, so a memo keyed on
+        object identity would see a freed id reused by a different sentence."""
+        def fresh():
+            for i in range(2000):
+                n = i * 7 % 13
+                yield GeneratedSentence((f"w{n}",) * (1 + n % 3), ("O",) * (1 + n % 3),
+                                        f"i{n % 2}", ())
+
+        assert emitted(fresh(), fmt) == emit_per_token(fresh(), fmt)
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_each_distinct_sentence_is_rendered_once(self, monkeypatch, fmt):
+        rendered = Counter()
+        render = generator._RENDERERS[fmt]
+
+        def counting(s):
+            rendered[s] += 1
+            return render(s)
+
+        monkeypatch.setitem(generator._RENDERERS, fmt, counting)
+        a = GeneratedSentence(("a",), ("O",), "x", ())
+        b = GeneratedSentence(("b",), ("O",), "x", ())
+        emitted([a, b, unshared(a), a, unshared(b)] * 100, fmt)
+        assert rendered == {a: 1, b: 1}
+
     def test_conll_round_trip(self, airline_dataset):
         trees = build(airline_dataset)
         out = generate_batch(trees, airline_dataset, cfg(factor=2))
