@@ -7,6 +7,10 @@ runs the CLI, and compares the sha256 of the corpus and of its
 `.stats.json` sidecar with values recorded before the sampler was
 rewritten. A mismatch means the random stream or the emitted bytes
 changed; only a change that declares new output may update these values.
+
+A second case pins `eastgen build` and `export-regex` on a corpus sampled
+from the same trees, so refactors of the builder and the regex exporter
+are held to the same promise.
 """
 
 import hashlib
@@ -14,8 +18,16 @@ import json
 
 import pytest
 
-from eastgen import serialize
+from eastgen import (
+    AnnotatedSentence,
+    GenerationConfig,
+    deserialize,
+    emit,
+    generate_batch,
+    serialize,
+)
 from eastgen.cli import main
+from eastgen.east import ENTITY, EXCHANGEABLE, ORDER, PICKONE
 
 from helpers import ground_truth_world
 
@@ -112,3 +124,100 @@ def test_generate_digest_is_pinned(case, inputs, tmp_path):
     assert main(args + extra) == 0
     stats = out.with_name(out.name + ".stats.json")
     assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
+
+
+BUILD_SEED = 5
+BUILD_COUNT = 300  # per intent
+
+# a fourth of intent x's sentences carry a B: B is not a main entity, so
+# it is kept inside the region after A
+NON_MAIN_CORPUS = [
+    AnnotatedSentence(("go", city, "quickly"), ("O", "B-A", "O"), "x")
+    for city in ("oslo", "paris", "rome")
+] + [AnnotatedSentence(("go", "bonn", "at", "9"), ("O", "B-A", "O", "B-B"), "x")]
+
+# output file (relative to the build or export directory) -> sha256
+BUILD_GOLDEN = {
+    "trees/find_flight.east.json":
+        "8e7e0ecd5428095bc2d074890bcd0b85fdcdfbbb4b918223ca6b2cf620bbebf4",
+    "trees/greet.east.json":
+        "c3d8fbca287e7a1b43ed2818679b85e61dbb41939f71c815f9b6c8f015da76c0",
+    "trees/hotel.east.json":
+        "8dec6ace0f74b92e8eab4f8a569f75d64a76e18e3f5f43e76c2875251c1ea0ed",
+    "trees/play_music.east.json":
+        "22343bc3e5068548d8338c573a523811341e3b90bae8bb905ed03d3f2cfe899a",
+    "trees/weather.east.json":
+        "a3689a2a0ad6d33976d6404f177d1f41e6fa87b068bc072b89628f0d3c386e5e",
+    "trees/x.east.json":
+        "dc47255477f109b5f7d27dc7c45876a3330c171b537455a18897b38a39e37340",
+    "trees/lexicon.json":
+        "ac414a3fb131507784f90dd1aa949300e680f5647bafc38fc918244547d7a244",
+    "regex/find_flight.regex.txt":
+        "b5e6fbe41aad2527c0e37455549134c544059bc1efa0378097d6a0bbb87d4278",
+    "regex/greet.regex.txt":
+        "a049bbd1811022395cc94d20e8aadf760ae33bb1bd60d0e36799fc71f47fc99e",
+    "regex/hotel.regex.txt":
+        "a59bf6185e829f40a4f89d7388b1ebab1312ef4eb5016e1d8e2de8226e964779",
+    "regex/play_music.regex.txt":
+        "c65470d0b717be4f307edf35ccebe635586826d61e0e593ea4da5fef283e75b4",
+    "regex/weather.regex.txt":
+        "6e1a4f1213661f2af0d40ceee301d82a747b45274622dcc042f3bc4266daee4a",
+    "regex/x.regex.txt":
+        "009477a24b80cb753cd4240689bf4aa238232fdd6bea92517985d9e5ba4f7b73",
+}
+
+
+def _region_slots(node) -> set[str]:
+    """Entity slots held by the regions of a tree built by `eastgen build`.
+
+    The root is one alignment (an order) or a pick-one of alignments; an
+    alignment's regions are its children that are neither entity leaves
+    nor exchangeable pairs of them.
+    """
+    alignments = [node] if node.kind == ORDER else node.children
+    slots: set[str] = set()
+    stack = [
+        c for a in alignments for c in a.children if c.kind not in (ENTITY, EXCHANGEABLE)
+    ]
+    while stack:
+        n = stack.pop()
+        if n.kind == ENTITY:
+            slots.add(n.slot)
+        stack.extend(n.children)
+    return slots
+
+
+def test_build_and_export_regex_digests_are_pinned(tmp_path):
+    trees, lexicon = ground_truth_world()
+    config = GenerationConfig(seed=BUILD_SEED, count=BUILD_COUNT, use_embeddings=False)
+    corpus = tmp_path / "corpus.conll"
+    with open(corpus, "w", encoding="utf-8") as handle:
+        emit(generate_batch(trees, None, config, lexicon=lexicon) + NON_MAIN_CORPUS,
+             handle, "conll")
+    built, exported = tmp_path / "trees", tmp_path / "regex"
+    assert main(["build", str(corpus), "--out", str(built)]) == 0
+    assert main([
+        "export-regex",
+        "--trees", str(built),
+        "--lexicon", str(built / "lexicon.json"),
+        "--out", str(exported),
+    ]) == 0
+
+    # the corpus exercises a planned spine swap, a root pick-one over two
+    # arrangements and a region that holds a non-main entity
+    induced = {
+        p.name: deserialize(p.read_text(encoding="utf-8"))
+        for p in built.glob("*.east.json")
+    }
+    weather = induced["weather.east.json"].root
+    assert weather.kind == ORDER
+    assert EXCHANGEABLE in [c.kind for c in weather.children]
+    assert induced["hotel.east.json"].root.kind == PICKONE
+    assert _region_slots(induced["x.east.json"].root) == {"B"}
+
+    written = sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*")
+        if p.name != "manifest.json"  # it names the temporary input paths
+    )
+    assert written == sorted(BUILD_GOLDEN)
+    assert {name: _sha256(tmp_path / name) for name in written} == BUILD_GOLDEN
