@@ -404,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--lexicon", help="lexicon JSON file")
     src.add_argument("--corpus", help="training corpus (lexicon and sizes)")
-    p.add_argument("--embeddings", help="word vector file")
-    p.add_argument("--no-embeddings", action="store_true",
-                   help="skip nearest-neighbor entity substitution")
+    vectors = p.add_mutually_exclusive_group()
+    vectors.add_argument("--embeddings", help="word vector file")
+    vectors.add_argument("--no-embeddings", action="store_true",
+                         help="skip nearest-neighbor entity substitution")
     p.add_argument("--k", type=_positive_int, default=5,
                    help="neighbors per entity candidate")
     amount = p.add_mutually_exclusive_group()

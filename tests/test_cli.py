@@ -122,6 +122,13 @@ class TestGenerate:
         assert code == 1
         assert "--no-embeddings" in capsys.readouterr().err
 
+    def test_embeddings_and_no_embeddings_are_exclusive(self, built, tmp_path):
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as err:
+            self.run(built, tmp_path / "x.conll", "--embeddings", str(tmp_path / "absent.txt"))
+        assert err.value.code == 2
+        assert sorted(tmp_path.rglob("*")) == before  # no corpus, stats or manifest
+
     def test_seed_is_mandatory(self, built, tmp_path):
         with pytest.raises(SystemExit) as err:
             main([

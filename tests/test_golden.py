@@ -116,11 +116,12 @@ def test_generate_digest_is_pinned(case, inputs, tmp_path):
         "generate",
         "--trees", str(trees_dir),
         "--lexicon", str(lexicon_path),
-        "--embeddings", str(table_path),
         "--seed", str(SEED),
         "--count", str(COUNT),
         "--out", str(out),
     ]
+    if "--no-embeddings" not in extra:  # the two options are mutually exclusive
+        args += ["--embeddings", str(table_path)]
     assert main(args + extra) == 0
     stats = out.with_name(out.name + ".stats.json")
     assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
