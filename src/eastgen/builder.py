@@ -17,6 +17,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .corpus import Dataset, Literal, Placeholder, SentenceTemplate
@@ -35,13 +36,12 @@ from .east import (
 
 log = logging.getLogger(__name__)
 
-# canonical run item tags: a run is the material between two spine entities,
-# stored as (("lit", phrase) | ("ent", label), ...) with consecutive
-# literal tokens joined into one phrase
-_LIT = "lit"
-_ENT = "ent"
-
-Run = tuple[tuple[str, str], ...]
+# a run is the material between two spine entities, stored as (labels,
+# phrases): its non-main entity labels and the len(labels) + 1 literal gaps
+# around them, each gap's tokens joined by spaces; "" marks a gap without
+# literals, which is unambiguous because a token is never empty
+Run = tuple[tuple[str, ...], tuple[str, ...]]
+_EMPTY: Run = ((), ("",))
 
 
 @dataclass(frozen=True)
@@ -89,39 +89,37 @@ def determine_main_entities(occ: dict[str, Fraction], t: float) -> list[str]:
     return above if above else [ranked[0]]
 
 
-def _canonical_run(segments: Iterable) -> Run:
-    items: list[tuple[str, str]] = []
-    buf: list[str] = []
-    for segment in segments:
+def _split(template: SentenceTemplate) -> Run:
+    """The template as one run: all its labels and the phrases around them."""
+    labels: list[str] = []
+    phrases: list[str] = []
+    tokens: list[str] = []
+    for segment in template.segments:
         if isinstance(segment, Literal):
-            buf.append(segment.text)
+            tokens.append(segment.text)
         else:
-            if buf:
-                items.append((_LIT, " ".join(buf)))
-                buf = []
-            items.append((_ENT, segment.label))
-    if buf:
-        items.append((_LIT, " ".join(buf)))
-    return tuple(items)
+            labels.append(segment.label)
+            phrases.append(" ".join(tokens))
+            tokens = []
+    phrases.append(" ".join(tokens))
+    return tuple(labels), tuple(phrases)
 
 
 def _template_profile(
-    template: SentenceTemplate, main: frozenset[str]
+    split: Run, main: frozenset[str]
 ) -> tuple[tuple[str, ...], tuple[Run, ...]]:
-    """Split a template at its main-entity placeholders.
+    """Cut a split template at its main-entity placeholders.
 
     Returns the main-entity label sequence and the len(labels)+1 runs of
     material around them (non-main placeholders stay inside runs).
     """
-    labels: list[str] = []
-    runs: list[list] = [[]]
-    for segment in template.segments:
-        if isinstance(segment, Placeholder) and segment.label in main:
-            labels.append(segment.label)
-            runs.append([])
-        else:
-            runs[-1].append(segment)
-    return tuple(labels), tuple(_canonical_run(r) for r in runs)
+    labels, phrases = split
+    cuts = [i for i, label in enumerate(labels) if label in main]
+    bounds = [-1, *cuts, len(labels)]
+    runs = tuple(
+        (labels[a + 1:b], phrases[a + 1:b + 1]) for a, b in zip(bounds, bounds[1:])
+    )
+    return tuple(labels[i] for i in cuts), runs
 
 
 def _swap_decomposition(
@@ -201,6 +199,19 @@ class TreeScaffold:
         return East(self.intent, order(*(entity(l) for l in self.spine.labels)))
 
 
+def _feeds_spine(
+    swaps: frozenset[int] | None, runs: tuple[Run, ...], accepted: frozenset[int]
+) -> bool:
+    """Whether a template with these swaps from the spine and these runs
+    merges into the spine: it needs only accepted swaps, and no accepted
+    pair has content between its two entities."""
+    return (
+        swaps is not None
+        and swaps <= accepted
+        and all(runs[p + 1] == _EMPTY for p in accepted)
+    )
+
+
 def _plan_swaps(
     spine: tuple[str, ...],
     profiles: Sequence[tuple[tuple[str, ...], tuple[Run, ...]]],
@@ -208,10 +219,9 @@ def _plan_swaps(
     """Adjacent spine transpositions that may merge and later become
     exchangeable nodes.
 
-    A pair stays accepted only while both orders are realized by spine
-    matchers and no matcher puts content between the two entities; the
-    loop re-evaluates until stable because dropping a pair reclassifies
-    its templates as branches.
+    A pair stays accepted only while both orders are realized by templates
+    that feed the spine; the loop re-evaluates until stable because
+    dropping a pair reclassifies its templates as branches.
     """
     swapsets = [_swap_decomposition(labels, spine) for labels, _ in profiles]
     candidates = {p for s in swapsets if s for p in s}
@@ -220,9 +230,7 @@ def _plan_swaps(
         cohort = [
             i
             for i, (_, runs) in enumerate(profiles)
-            if swapsets[i] is not None
-            and swapsets[i] <= accepted
-            and all(runs[p + 1] == () for p in accepted)
+            if _feeds_spine(swapsets[i], runs, accepted)
         ]
         stable = frozenset(
             p
@@ -244,7 +252,7 @@ def skeleton(
     earliest template.
     """
     main_set = frozenset(main)
-    profiles = [_template_profile(t, main_set) for t in templates]
+    profiles = [_template_profile(_split(t), main_set) for t in templates]
 
     seq_counts: dict[tuple[str, ...], int] = {}
     first_seen: dict[tuple[str, ...], int] = {}
@@ -269,65 +277,47 @@ def grow(scaffold: TreeScaffold, template: SentenceTemplate) -> TreeScaffold:
     feeds the spine regions; anything else merges into a root-level
     branch keyed by its full placeholder sequence.
     """
-    labels, runs = _template_profile(template, frozenset(scaffold.main))
+    split = _split(template)
+    labels, runs = _template_profile(split, frozenset(scaffold.main))
     swaps = _swap_decomposition(labels, scaffold.spine.labels)
-    if (
-        swaps is not None
-        and swaps <= scaffold.swap_pairs
-        and all(runs[p + 1] == () for p in scaffold.swap_pairs)
-    ):
+    if _feeds_spine(swaps, runs, scaffold.swap_pairs):
         scaffold.spine.add(runs, template.source_count)
         return scaffold
 
-    full = template.placeholder_labels()
+    full, phrases = split
     branch = scaffold.branches.get(full)
     if branch is None:
         branch = scaffold.branches[full] = _Alignment(full)
-    _, full_runs = _template_profile(template, frozenset(full))
-    branch.add(full_runs, template.source_count)
+    branch.add(tuple(((), (phrase,)) for phrase in phrases), template.source_count)
     return scaffold
 
 
-def _run_shape(run: Run) -> tuple[tuple[str, ...], tuple[bool, ...]]:
-    labels = tuple(value for kind, value in run if kind == _ENT)
-    occupancy = [False] * (len(labels) + 1)
-    slot = 0
-    for kind, _ in run:
-        if kind == _LIT:
-            occupancy[slot] = True
-        else:
-            slot += 1
-    return labels, tuple(occupancy)
+def _interleave(
+    labels: tuple[str, ...], fills: Iterable[Node | None], weight: float
+) -> Node:
+    """An order of entity leaves with each fill that is not None in the gap
+    before its leaf; the last fill follows the last leaf."""
+    children = []
+    for fill, label in zip_longest(fills, labels):
+        if fill is not None:
+            children.append(fill)
+        if label is not None:
+            children.append(entity(label))
+    return order(*children, weight=weight)
 
 
 def _group_node(
-    shape: tuple[tuple[str, ...], tuple[bool, ...]],
-    rows: list[tuple[Run, int]],
-    weight: float,
+    labels: tuple[str, ...], rows: list[tuple[tuple[str, ...], int]], weight: float
 ) -> Node:
-    labels, occupancy = shape
+    """One run shape: (phrases, count) rows that share labels and empty gaps."""
+    gaps: list[dict[str, int]] = [{} for _ in range(len(labels) + 1)]
+    for phrases, count in rows:
+        for gap, phrase in zip(gaps, phrases):
+            if phrase:
+                gap[phrase] = gap.get(phrase, 0) + count
     if not labels:
-        dictionary: dict[str, int] = {}
-        for run, count in rows:
-            phrase = run[0][1]
-            dictionary[phrase] = dictionary.get(phrase, 0) + count
-        return fixed(dictionary, weight=weight)
-
-    slot_dicts: list[dict[str, int]] = [{} for _ in range(len(labels) + 1)]
-    for run, count in rows:
-        slot = 0
-        for kind, value in run:
-            if kind == _LIT:
-                slot_dicts[slot][value] = slot_dicts[slot].get(value, 0) + count
-            else:
-                slot += 1
-    children = []
-    for i in range(len(labels) + 1):
-        if occupancy[i]:
-            children.append(fixed(slot_dicts[i]))
-        if i < len(labels):
-            children.append(entity(labels[i]))
-    return order(*children, weight=weight)
+        return fixed(gaps[0], weight=weight)
+    return _interleave(labels, (fixed(gap) if gap else None for gap in gaps), weight)
 
 
 def _region_node(runs: Counter, sentence_count: int) -> Node | None:
@@ -336,36 +326,31 @@ def _region_node(runs: Counter, sentence_count: int) -> Node | None:
     Multiple run shapes become a pick-one weighted by how often each was
     seen; sentences with nothing in the region contribute dropout.
     """
-    empty = runs.get((), 0)
-    present = [(run, count) for run, count in runs.items() if run]
+    empty = runs.get(_EMPTY, 0)
+    present = [(run, count) for run, count in runs.items() if run != _EMPTY]
     if not present:
         return None
     present_total = sum(count for _, count in present)
     dropout = empty / sentence_count if empty else None
 
-    groups: dict[tuple, list[tuple[Run, int]]] = {}
-    for run, count in present:
-        groups.setdefault(_run_shape(run), []).append((run, count))
+    groups: dict[tuple, list[tuple[tuple[str, ...], int]]] = {}
+    for (labels, phrases), count in present:
+        shape = (labels, tuple(map(bool, phrases)))
+        groups.setdefault(shape, []).append((phrases, count))
 
     if len(groups) == 1:
-        shape, rows = next(iter(groups.items()))
-        return replace(_group_node(shape, rows, 1.0), dropout=dropout)
+        (labels, _), rows = next(iter(groups.items()))
+        return replace(_group_node(labels, rows, 1.0), dropout=dropout)
     children = tuple(
-        _group_node(shape, rows, sum(c for _, c in rows) / present_total)
-        for shape, rows in groups.items()
+        _group_node(labels, rows, sum(c for _, c in rows) / present_total)
+        for (labels, _), rows in groups.items()
     )
     return pick_one(*children, dropout=dropout)
 
 
-def _alignment_node(alignment: _Alignment, weight: float):
-    children = []
-    for i in range(len(alignment.labels) + 1):
-        region = _region_node(alignment.regions[i], alignment.count)
-        if region is not None:
-            children.append(region)
-        if i < len(alignment.labels):
-            children.append(entity(alignment.labels[i]))
-    return order(*children, weight=weight)
+def _alignment_node(alignment: _Alignment, weight: float) -> Node:
+    regions = (_region_node(r, alignment.count) for r in alignment.regions)
+    return _interleave(alignment.labels, regions, weight)
 
 
 def finalize_weights(scaffold: TreeScaffold, total_sentences: int) -> East:
