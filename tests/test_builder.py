@@ -19,7 +19,7 @@ from eastgen import (
     validate,
 )
 from eastgen.corpus import Literal, Placeholder
-from eastgen.east import EXCHANGEABLE, FIXED, PICKONE, iter_nodes
+from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, PICKONE, iter_nodes
 
 
 def sentence(intent, *pairs):
@@ -289,6 +289,29 @@ class TestBuild:
         region = tree.root.children[-1]
         assert region.kind == PICKONE
         assert [c.weight for c in region.children] == pytest.approx([3 / 4, 1 / 4])
+        language = enumerate_language(tree, include_dropout_variants=True)
+        for template in dataset.by_intent["x"]:
+            assert template in language
+
+    def test_region_shapes_differ_by_their_empty_gaps(self):
+        # B occurs in 2 of 4 sentences, so it stays inside the region after
+        # A; "<B> now" and "then <B>" hold the same labels but leave
+        # different gaps empty, so each becomes its own order
+        corpus = [
+            sentence("x", ("go", "O"), ("oslo", "B-A")),
+            sentence("x", ("go", "O"), ("rome", "B-A")),
+            sentence("x", ("go", "O"), ("paris", "B-A"), ("9", "B-B"), ("now", "O")),
+            sentence("x", ("go", "O"), ("bonn", "B-A"), ("then", "O"), ("10", "B-B")),
+        ]
+        dataset = build_dataset(corpus)
+        tree = build(dataset)["x"]
+        region = tree.root.children[-1]
+        assert region.kind == PICKONE
+        assert region.dropout == pytest.approx(1 / 2)
+        assert [[c.kind for c in child.children] for child in region.children] == [
+            [ENTITY, FIXED],
+            [FIXED, ENTITY],
+        ]
         language = enumerate_language(tree, include_dropout_variants=True)
         for template in dataset.by_intent["x"]:
             assert template in language
