@@ -9,7 +9,6 @@ outputs byte for byte. Files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -31,7 +30,9 @@ from .corpus import (
     parse_records,
 )
 from .east import East, deserialize, entity_slots, iter_nodes, serialize
-from .embeddings import iter_lines, load_embeddings
+from .embeddings import (
+    EmbeddingTable, file_sha256, iter_lines, load_cached, load_embeddings,
+)
 from .errors import (
     EastgenError, EmbeddingFormatError, MissingLexiconError, TreeSchemaError,
     TreeValidationError,
@@ -82,14 +83,6 @@ def _atomic_write(path: Path) -> Iterator[TextIO]:
         raise
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(
     manifest_path: Path, args: argparse.Namespace, outputs: list[Path]
 ) -> None:
@@ -99,7 +92,7 @@ def _write_manifest(
         "version": __version__,
         "inputs": {k: config.pop(k) for k in INPUT_OPTIONS if k in config},
         "config": config,
-        "outputs": {p.name: f"sha256:{_sha256(p)}" for p in outputs},
+        "outputs": {p.name: f"sha256:{file_sha256(p)}" for p in outputs},
     }
     with _atomic_write(manifest_path) as handle:
         handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -127,6 +120,11 @@ def _first_bad_line(path: str | Path) -> int | None:
             except UnicodeEncodeError:
                 return lineno
     return None
+
+
+def _parse_embeddings(path: str) -> EmbeddingTable:
+    with _open_text(path) as handle:
+        return load_embeddings(handle)  # streamed: the text is never held whole
 
 
 def _read_text(path: str | Path) -> str:
@@ -254,8 +252,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if not args.embeddings:
             raise EastgenError("an embedding file is required unless --no-embeddings")
         try:
-            with _open_text(args.embeddings) as handle:
-                table = load_embeddings(handle)  # streamed: the text is never held whole
+            table = load_cached(args.embeddings, _parse_embeddings)
         except EmbeddingFormatError as exc:
             raise EastgenError(f"{args.embeddings}: {exc}") from exc
 

@@ -8,16 +8,29 @@ re-scored with a correctly rounded sum (after Johnson et al., "Billion-scale
 similarity search with GPUs", arXiv:1702.08734). Similarities and their
 order therefore do not depend on the BLAS build or the block a query is in.
 
+A parsed table can be cached on disk (``load_cached``): one entry per
+file content, under ``$XDG_CACHE_HOME/eastgen/embeddings/`` (or
+``~/.cache/eastgen/embeddings/``), so a later load of the same bytes skips
+the text parse.
+
 numpy is imported by the functions that use it, not by this module, so a
 program that loads no embeddings never loads numpy or its BLAS.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
+import os
+import shutil
+import stat
+import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import EmbeddingFormatError, OutOfVocabularyError
 
@@ -31,6 +44,13 @@ log = logging.getLogger(__name__)
 # It is sqrt of float64's smallest normal, 2 ** -1022, and exact.
 MIN_NORM = 2.0 ** -511  # about 1.5e-154
 NORM_BLOCK_ROWS = 1024
+ZERO_ROW_WARNING = "skipping zero vector for token %r (line %d)"
+
+# Part of every cache entry's name: bump it whenever load_embeddings' accepted
+# input or its output changes, so no entry written before is read again.
+CACHE_FORMAT = 1
+CACHE_KEEP = 3  # entries kept, the most recently used
+STALE_WRITE_S = 3600  # an unfinished entry this old was left by a killed process
 
 
 @dataclass
@@ -42,7 +62,12 @@ class EmbeddingTable:
     index: dict[str, int] = field(repr=False)
     unit: np.ndarray = field(repr=False)  # shape (n, dimension), rows of norm 1
     norms: np.ndarray = field(repr=False)  # shape (n,), each row's original norm
-    skipped_zero_rows: int = 0
+    # (token, line) of each all-zero row that was skipped, in file order
+    zero_rows: list[tuple[str, int]] = field(default_factory=list, repr=False)
+
+    @property
+    def skipped_zero_rows(self) -> int:
+        return len(self.zero_rows)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -71,8 +96,8 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
     A seekable file is read twice, once to count its lines and once to parse
     them into one preallocated matrix, so neither its text nor its list of
     lines is ever held; a file that cannot seek (a pipe) is read whole.
-    Zero rows are rejected with a warning (their count is kept on the
-    table); a row whose width disagrees with the established dimension, or
+    Zero rows are rejected with a warning (the table keeps their tokens and
+    lines); a row whose width disagrees with the established dimension, or
     that has a non-finite component or a norm whose square underflows or
     overflows float64, is an error naming the offending line.
     """
@@ -91,7 +116,7 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
     index: dict[str, int] = {}  # token -> row, in row order
     line_of: list[int] = []  # source line of each kept row
     matrix: np.ndarray | None = None
-    skipped = 0
+    zero_rows: list[tuple[str, int]] = []
 
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -114,8 +139,8 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
         if token in index:
             continue
         if not matrix[row].any():
-            skipped += 1
-            log.warning("skipping zero vector for token %r (line %d)", token, lineno)
+            zero_rows.append((token, lineno))
+            log.warning(ZERO_ROW_WARNING, token, lineno)
             continue
         index[token] = row
         line_of.append(lineno)
@@ -138,7 +163,135 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
                  else "squared norm underflows or overflows float64")
         raise EmbeddingFormatError(f"{fault} for {tokens[row]!r}", line_of[row])
     matrix /= norms[:, None]  # in place: the table keeps only the unit-normalized rows
-    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, skipped)
+    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, zero_rows)
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes, read in 1 MB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def cache_dir() -> Path | None:
+    """Where parsed tables are cached: ``$XDG_CACHE_HOME/eastgen/embeddings``,
+    or ``~/.cache/eastgen/embeddings`` when that variable is unset, empty or
+    relative; None when the home directory is unknown too."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "eastgen", "embeddings") if os.path.isabs(base) else None
+
+
+def load_cached(path: str, parse: Callable[[str], EmbeddingTable]) -> EmbeddingTable:
+    """The table ``parse(path)`` gives, read from the cache when an entry holds
+    the parse of a file with the same bytes.
+
+    Only a regular file is hashed and cached; anything else (a pipe, a FIFO,
+    a path that cannot be read) goes straight to ``parse``, which reports
+    its errors as it always does. A hit replays the zero-row warnings the
+    parse logged. After a miss, the table is cached only if the file kept
+    its size, mtime and inode while it was parsed; a failure to write the
+    cache is logged at INFO and otherwise ignored.
+    """
+    root = cache_dir()
+    try:
+        before = os.stat(path)
+        regular = root is not None and stat.S_ISREG(before.st_mode)
+        digest = file_sha256(path) if regular else None
+    except OSError:
+        digest = None
+    if digest is None:
+        return parse(path)
+    entry = root / f"v{CACHE_FORMAT}-{digest}"
+    table = _read_entry(entry, digest)
+    if table is not None:
+        for token, line in table.zero_rows:
+            log.warning(ZERO_ROW_WARNING, token, line)
+        return table
+    table = parse(path)
+    try:
+        if _identity(os.stat(path)) == _identity(before):
+            _write_entry(root, entry, digest, table)
+    except OSError as exc:
+        log.info("embedding cache not written: %s", exc)
+    return table
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
+    """The cached table, or None when the entry is missing or fails a check."""
+    import numpy as np
+
+    try:
+        with open(entry / "meta.json", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if meta["sha256"] != digest:
+            log.info("embedding cache entry %s holds another file", entry)
+            return None
+        tokens, dimension = meta["tokens"], meta["dimension"]
+        zero_rows = [(token, line) for token, line in meta["zero_rows"]]
+        index = dict(zip(tokens, range(len(tokens))))
+        unit = np.load(entry / "unit.npy", allow_pickle=False)
+        norms = np.load(entry / "norms.npy", allow_pickle=False)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        log.info("embedding cache entry %s unreadable: %s", entry, exc)
+        return None
+    if (unit.dtype != np.float64 or unit.shape != (len(tokens), dimension)
+            or norms.dtype != np.float64 or norms.shape != (len(tokens),)
+            or len(index) != len(tokens)):
+        log.info("embedding cache entry %s has inconsistent shapes", entry)
+        return None
+    try:
+        os.utime(entry)  # marks it most recently used for eviction
+    except OSError as exc:
+        log.info("embedding cache entry %s not touched: %s", entry, exc)
+    return EmbeddingTable(unit.shape[1], tokens, index, unit, norms, zero_rows)
+
+
+def _write_entry(root: Path, entry: Path, digest: str, table: EmbeddingTable) -> None:
+    """Write `table` as `entry` atomically, then keep only the CACHE_KEEP most
+    recently used entries."""
+    import numpy as np
+
+    root.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=root, prefix=".tmp-"))
+    try:
+        # np.save writes each array to a real file straight from its buffer
+        np.save(tmp / "unit.npy", table.unit, allow_pickle=False)
+        np.save(tmp / "norms.npy", table.norms, allow_pickle=False)
+        meta = {"sha256": digest, "dimension": table.dimension, "tokens": table.tokens,
+                "zero_rows": table.zero_rows}
+        with open(tmp / "meta.json", "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(meta))
+        if entry.exists():  # an entry that failed its checks
+            shutil.rmtree(entry)
+        os.rename(tmp, entry)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    _evict(root)
+
+
+def _evict(root: Path) -> None:
+    entries, stale = [], time.time_ns() - STALE_WRITE_S * 10**9
+    for item in os.scandir(root):
+        if not item.is_dir(follow_symlinks=False):
+            continue
+        mtime = item.stat(follow_symlinks=False).st_mtime_ns
+        if not item.name.startswith("."):
+            entries.append((mtime, item.path))
+        elif mtime < stale:
+            shutil.rmtree(item.path, ignore_errors=True)
+    for _, path in sorted(entries, reverse=True)[CACHE_KEEP:]:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eastgen import build_dataset, parse_conll
+from eastgen.embeddings import cache_dir
 
 AIRLINE_CONLL = """\
 # intent: airline
@@ -56,6 +57,22 @@ in\tO
 Beijing\tB-LOC
 today\tB-DATE
 """
+
+
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """Each test caches embedding tables in a fresh directory of its own, never
+    under the home directory, so every table a test loads is a miss first.
+    Child processes inherit the variable."""
+    home = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+def cache_entries() -> list[str]:
+    """The names of the embedding cache's entries, in name order."""
+    root = cache_dir()
+    return sorted(p.name for p in root.iterdir()) if root.is_dir() else []
 
 
 @pytest.fixture

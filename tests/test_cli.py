@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from eastgen import (
 )
 from eastgen.cli import main
 
-from conftest import AIRLINE_CONLL
+from conftest import AIRLINE_CONLL, cache_entries
 
 
 @pytest.fixture
@@ -460,6 +461,92 @@ class TestEmbeddingsFlow:
         ])
         assert code == 0
         assert len(parse_conll((tmp_path / "aug.conll").read_text())) == 20
+
+
+class TestEmbeddingCache:
+    """`generate` reads a table it parsed before from the cache, and nothing
+    else about a run changes."""
+
+    def _generate(self, built, tmp_path, vectors, out="aug.conll"):
+        return main([
+            "generate", "--trees", str(built), "--lexicon", str(built / "lexicon.json"),
+            "--embeddings", str(vectors), "--seed", "3", "--count", "20",
+            "--out", str(tmp_path / out),
+        ])
+
+    def test_a_hit_does_not_call_load_embeddings(self, built, tmp_path, monkeypatch):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("denver 1.0 0.1\nboston 1.0 0.2\ndallas 1.0 0.3\n")
+        assert self._generate(built, tmp_path, vectors, "miss.conll") == 0
+        assert len(cache_entries()) == 1
+
+        def no_load(handle):
+            raise AssertionError("the table was parsed again")
+
+        monkeypatch.setattr("eastgen.cli.load_embeddings", no_load)
+        assert self._generate(built, tmp_path, vectors, "hit.conll") == 0
+        assert (tmp_path / "hit.conll").read_bytes() == (tmp_path / "miss.conll").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("paris 1 0\nlyon 1 x\n",
+             "line 2: non-numeric component: could not convert string to float: 'x'"),
+            ("paris 1 0\nlyon inf 1\n", "line 2: non-finite component for 'lyon'"),
+        ],
+    )
+    def test_a_format_error_is_the_same_on_every_run(
+        self, built, tmp_path, capsys, rows, message
+    ):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text(rows)
+        for _ in range(2):
+            assert self._generate(built, tmp_path, vectors) == 1
+            assert capsys.readouterr().err == f"error: {vectors}: {message}\n"
+        assert cache_entries() == []
+
+    def test_a_fifo_loads_and_is_not_cached(self, built, tmp_path):
+        fifo = tmp_path / "vectors.fifo"
+        os.mkfifo(fifo)
+        rows = "denver 1.0 0.1\nboston 1.0 0.2\ndallas 1.0 0.3\n"
+        writer = threading.Thread(target=fifo.write_text, args=(rows,), daemon=True)
+        writer.start()
+        assert self._generate(built, tmp_path, fifo) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(parse_conll((tmp_path / "aug.conll").read_text())) == 20
+        assert cache_entries() == []
+
+    def test_miss_hit_and_unwritable_cache_print_and_write_the_same(
+        self, built, tmp_path, cache_home
+    ):
+        """In a child, so that the zero-row warnings reach stderr as users see
+        them; a cache directory that cannot be made only leaves the table
+        uncached."""
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("denver 1.0 0.1\nnowhere 0 0\nboston 1.0 0.2\ndallas 1.0 0.3\n")
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the cache directory would be\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for run, home in [("miss", cache_home), ("hit", cache_home), ("unwritable", blocked)]:
+            out = tmp_path / f"{run}.conll"
+            done = subprocess.run(
+                [sys.executable, "-m", "eastgen.cli", "generate", "--trees", str(built),
+                 "--lexicon", str(built / "lexicon.json"), "--embeddings", str(vectors),
+                 "--seed", "3", "--count", "20", "--out", str(out)],
+                env=dict(env, XDG_CACHE_HOME=str(home)), capture_output=True, text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stderr, out.read_bytes()))
+            if run == "miss":
+                assert len(cache_entries()) == 1
+        assert runs[0] == runs[1] == runs[2]
+        assert "skipping zero vector for token 'nowhere' (line 2)" in runs[0][0]
+        assert blocked.read_text() == "a file where the cache directory would be\n"
+        assert len(cache_entries()) == 1
 
 
 class TestEmptySentences:

@@ -1,9 +1,12 @@
 import functools
+import json
+import logging
 import math
 import operator
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,9 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eastgen import cosine_similarity, k_nearest, load_embeddings
-from eastgen.embeddings import MIN_NORM, k_nearest_block
+from eastgen.embeddings import (
+    CACHE_KEEP, MIN_NORM, STALE_WRITE_S, cache_dir, k_nearest_block, load_cached,
+)
 from eastgen.errors import EmbeddingFormatError, OutOfVocabularyError
 
+from conftest import cache_entries
 from helpers import brute_force_knn
 
 
@@ -172,6 +178,167 @@ class TestStreamedLoad:
         # the whole text, its line list or a full-matrix norm temporary
         # would each add about one more matrix
         assert peak < 1.5 * table.unit.nbytes
+
+    def test_peak_memory_of_a_cache_miss_and_hit_is_about_the_matrix(self, tmp_path):
+        values = np.random.default_rng(5).integers(100_000, 1_000_000, size=(4000, 300))
+        path = tmp_path / "table.txt"
+        with open(path, "w", encoding="utf-8") as sink:
+            for i, row in enumerate(values.tolist()):
+                sink.write(f"w{i} " + " ".join(map(str, row)) + "\n")
+        for outcome in ("miss", "hit"):
+            tracemalloc.start()
+            try:
+                table = load_cached(str(path), _parse)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(cache_entries()) == 1, outcome
+            # writing the entry copies no array; reading it copies none either
+            assert peak < 1.5 * table.unit.nbytes, outcome
+            del table
+
+
+def _parse(path):
+    with open(path, encoding="utf-8") as handle:
+        return load_embeddings(handle)
+
+
+def _outcome_of(table):
+    return table.tokens, table.unit.tobytes(), table.norms.tobytes(), table.skipped_zero_rows
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed, not read from the cache")
+
+
+# two zero rows (warned about), a duplicate and an empty token
+_CACHED_TEXT = "a 3 4\nz 0 0\nb 0 -2\na 9 9\n\ny 0.0 -0\n 1 1\nc 1e-3 2\n"
+
+
+def _truncated(entry):
+    data = (entry / "unit.npy").read_bytes()
+    (entry / "unit.npy").write_bytes(data[: len(data) - 8])
+
+
+def _foreign_array(entry):  # an object array, which only unpickling could read
+    np.save(entry / "unit.npy", np.array([{"a": 1}], dtype=object), allow_pickle=True)
+
+
+def _foreign_meta(entry):
+    (entry / "meta.json").write_text("[1, 2]")
+
+
+def _wrong_digest(entry):
+    meta = json.loads((entry / "meta.json").read_text())
+    meta["sha256"] = "0" * 64
+    (entry / "meta.json").write_text(json.dumps(meta))
+
+
+def _short_norms(entry):
+    np.save(entry / "norms.npy", np.ones(1))
+
+
+class TestCache:
+    """load_cached: a hit gives exactly what the parse gave, and anything
+    doubtful is a miss."""
+
+    def _load(self, path, caplog, parse=_parse):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="eastgen.embeddings"):
+            table = load_cached(str(path), parse)
+        warnings = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        return _outcome_of(table), warnings
+
+    def test_a_hit_equals_the_miss(self, tmp_path, caplog):
+        path = tmp_path / "t.txt"
+        path.write_text(_CACHED_TEXT, encoding="utf-8")
+        miss = self._load(path, caplog)
+        assert len(cache_entries()) == 1
+        hit = self._load(path, caplog, parse=_no_parse)
+        assert hit == miss == self._load(path, caplog)  # the last one also hits
+        assert miss[0][3] == 2 and miss[0][0] == ["a", "b", "", "c"]
+        assert [m for _, _, m in miss[1]] == [
+            "skipping zero vector for token 'z' (line 2)",
+            "skipping zero vector for token 'y' (line 6)",
+        ]
+
+    def test_a_file_rewritten_in_place_is_a_miss(self, tmp_path, caplog):
+        path = tmp_path / "t.txt"
+        path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+        self._load(path, caplog)
+        with open(path, "r+", encoding="utf-8") as handle:  # same size, same inode
+            handle.write("a 1 2\nb 3 5\n")
+        assert self._load(path, caplog) == (_outcome("a 1 2\nb 3 5\n"), [])
+        assert len(cache_entries()) == 2
+
+    def test_a_file_that_changes_during_the_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("a 1 2\n", encoding="utf-8")
+
+        def parse_then_append(p):
+            table = _parse(p)
+            with open(p, "a", encoding="utf-8") as handle:
+                handle.write("b 3 4\n")
+            return table
+
+        assert load_cached(str(path), parse_then_append).tokens == ["a"]
+        assert cache_entries() == []
+
+    @pytest.mark.parametrize(
+        "damage", [_truncated, _foreign_array, _foreign_meta, _wrong_digest, _short_norms]
+    )
+    def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, caplog, damage):
+        path = tmp_path / "t.txt"
+        path.write_text(_CACHED_TEXT, encoding="utf-8")
+        miss = self._load(path, caplog)
+        [name] = cache_entries()
+        damage(cache_dir() / name)
+        parsed = []
+        assert self._load(path, caplog, parse=lambda p: parsed.append(p) or _parse(p)) == miss
+        assert parsed == [str(path)]
+        assert cache_entries() == [name]
+        assert self._load(path, caplog, parse=_no_parse) == miss
+
+    def test_a_failed_parse_is_not_cached(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("a 1 0\nb x 0\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError) as err:
+                load_cached(str(path), _parse)
+            assert err.value.line == 2
+        assert cache_entries() == []
+
+    def test_eviction_keeps_the_most_recently_used(self, tmp_path, caplog):
+        assert CACHE_KEEP == 3
+        paths = []
+        for i in range(5):
+            paths.append(tmp_path / f"t{i}.txt")
+            paths[-1].write_text(f"a 1 {i + 1}\n", encoding="utf-8")
+        names = []
+        past = time.time() - 1000  # file times are coarse: give each load its own
+        for i, path in enumerate(paths[:4]):
+            self._load(path, caplog)
+            [name] = set(cache_entries()) - set(names)
+            names.append(name)
+            os.utime(cache_dir() / name, (past + i, past + i))
+        assert cache_entries() == sorted(names[1:4])  # the fourth evicted the first
+        self._load(paths[1], caplog, parse=_no_parse)  # a hit makes it the newest
+        self._load(paths[4], caplog)
+        [newest] = set(cache_entries()) - set(names)
+        assert cache_entries() == sorted([names[1], names[3], newest])
+
+    def test_a_write_removes_only_stale_unfinished_writes(self, tmp_path):
+        stale, running = cache_dir() / ".tmp-killed", cache_dir() / ".tmp-running"
+        for unfinished in (stale, running):
+            unfinished.mkdir(parents=True)
+            (unfinished / "unit.npy").write_bytes(b"partial")
+        old = time.time() - STALE_WRITE_S - 60
+        os.utime(stale, (old, old))
+        path = tmp_path / "t.txt"
+        path.write_text("a 1 2\n", encoding="utf-8")
+        load_cached(str(path), _parse)
+        assert not stale.exists() and running.exists()
+        assert len(cache_entries()) == 2  # the new entry and the running write
 
 
 class TestCosine:

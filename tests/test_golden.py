@@ -127,6 +127,30 @@ def test_generate_digest_is_pinned(case, inputs, tmp_path):
     assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
 
 
+def test_generate_digests_hold_on_a_cache_hit(inputs, tmp_path, monkeypatch):
+    """Every embedding case, run twice in one cache directory: the second run
+    reads the parsed table from the cache and must write the same bytes."""
+    trees_dir, lexicon_path, table_path = inputs
+    for case in sorted(c for c in GOLDEN if "--no-embeddings" not in GOLDEN[c][0]):
+        extra, corpus_digest, stats_digest = GOLDEN[case]
+        for run in ("first", "hit"):
+            out = tmp_path / f"{case}-{run}.txt"
+            with monkeypatch.context() as patch:
+                if run == "hit":  # a parse would now fail the run
+                    patch.setattr("eastgen.cli.load_embeddings", None)
+                assert main([
+                    "generate",
+                    "--trees", str(trees_dir),
+                    "--lexicon", str(lexicon_path),
+                    "--embeddings", str(table_path),
+                    "--seed", str(SEED),
+                    "--count", str(COUNT),
+                    "--out", str(out),
+                ] + extra) == 0
+        stats = out.with_name(out.name + ".stats.json")
+        assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
+
+
 BUILD_SEED = 5
 BUILD_COUNT = 300  # per intent
 

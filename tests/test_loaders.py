@@ -1,6 +1,10 @@
 """Every loader returns a value or raises its EastgenError, whatever the input."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -165,3 +169,39 @@ def test_cli_generate_any_lexicon_bytes(tmp_path_factory, data):
         "--seed", "1", "--count", "2", "--out", str(tmp / "out.conll"),
     ])
     assert code in (0, 1)
+
+
+_table_rows = st.lists(
+    st.tuples(st.sampled_from(["oslo", "rome", "x", ""]),
+              st.lists(st.sampled_from(["1", "0", "-2.5", "0.5", "nan", "y"]),
+                       min_size=1, max_size=2)),
+    min_size=1, max_size=4,
+).map(lambda rows: "".join(" ".join([t, *cells]) + "\n" for t, cells in rows).encode())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=64) | _table_rows)
+def test_cli_generate_any_embedding_bytes_twice(tmp_path_factory, data):
+    """The second run reads whatever the first one cached: both exit 0 or 1,
+    print the same and write the same."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "x.east.json").write_text(
+        '{"intent": "x", "root": {"kind": "order", "children": '
+        '[{"kind": "entity", "slot": "city"}]}}'
+    )
+    (tmp / "lexicon.json").write_text('{"city": {"oslo": 1, "rome": 2}}')
+    (tmp / "table.txt").write_bytes(data)
+    runs = []
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(tmp / "cache")}):
+        for run in range(2):
+            out = tmp / f"out{run}.conll"
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main([
+                    "generate", "--trees", str(tmp / "x.east.json"),
+                    "--lexicon", str(tmp / "lexicon.json"), "--embeddings", str(tmp / "table.txt"),
+                    "--seed", "1", "--count", "4", "--out", str(out),
+                ])
+            assert code in (0, 1)
+            runs.append((code, stderr.getvalue(), out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
