@@ -9,7 +9,7 @@ similarity search with GPUs", arXiv:1702.08734). Similarities and their
 order therefore do not depend on the BLAS build or the block a query is in.
 
 A parsed table can be cached on disk (``load_cached``): one entry per
-file content, under ``$XDG_CACHE_HOME/eastgen/embeddings/`` (or
+file content and release, under ``$XDG_CACHE_HOME/eastgen/embeddings/`` (or
 ``~/.cache/eastgen/embeddings/``), so a later load of the same bytes skips
 the text parse.
 
@@ -47,7 +47,9 @@ NORM_BLOCK_ROWS = 1024
 ZERO_ROW_WARNING = "skipping zero vector for token %r (line %d)"
 
 # Part of every cache entry's name: bump it whenever load_embeddings' accepted
-# input or its output changes, so no entry written before is read again.
+# input or its output changes, or the entry format does, so no entry written
+# before is read again. tests/test_embeddings.py pins it with a digest of the
+# source of the parse and of the entry code, and fails until it is bumped.
 CACHE_FORMAT = 1
 CACHE_KEEP = 3  # entries kept, the most recently used
 STALE_WRITE_S = 3600  # an unfinished entry this old was left by a killed process
@@ -62,12 +64,9 @@ class EmbeddingTable:
     index: dict[str, int] = field(repr=False)
     unit: np.ndarray = field(repr=False)  # shape (n, dimension), rows of norm 1
     norms: np.ndarray = field(repr=False)  # shape (n,), each row's original norm
+    skipped_zero_rows: int = 0
     # (token, line) of each all-zero row that was skipped, in file order
     zero_rows: list[tuple[str, int]] = field(default_factory=list, repr=False)
-
-    @property
-    def skipped_zero_rows(self) -> int:
-        return len(self.zero_rows)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
@@ -163,7 +162,8 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
                  else "squared norm underflows or overflows float64")
         raise EmbeddingFormatError(f"{fault} for {tokens[row]!r}", line_of[row])
     matrix /= norms[:, None]  # in place: the table keeps only the unit-normalized rows
-    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, zero_rows)
+    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, len(zero_rows),
+                          zero_rows)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -205,7 +205,7 @@ def load_cached(path: str, parse: Callable[[str], EmbeddingTable]) -> EmbeddingT
         digest = None
     if digest is None:
         return parse(path)
-    entry = root / f"v{CACHE_FORMAT}-{digest}"
+    entry = root / _entry_name(digest)
     table = _read_entry(entry, digest)
     if table is not None:
         for token, line in table.zero_rows:
@@ -218,6 +218,16 @@ def load_cached(path: str, parse: Callable[[str], EmbeddingTable]) -> EmbeddingT
     except OSError as exc:
         log.info("embedding cache not written: %s", exc)
     return table
+
+
+def _entry_name(digest: str) -> str:
+    """The entry of a file's table. The versions keep an upgraded eastgen, or a
+    numpy whose norm may round differently, from reading an older one's entries."""
+    import numpy as np
+
+    from . import __version__
+
+    return f"v{CACHE_FORMAT}-{__version__}-numpy{np.__version__}-{digest}"
 
 
 def _identity(st: os.stat_result) -> tuple[int, int, int]:
@@ -253,7 +263,7 @@ def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
         os.utime(entry)  # marks it most recently used for eviction
     except OSError as exc:
         log.info("embedding cache entry %s not touched: %s", entry, exc)
-    return EmbeddingTable(unit.shape[1], tokens, index, unit, norms, zero_rows)
+    return EmbeddingTable(unit.shape[1], tokens, index, unit, norms, len(zero_rows), zero_rows)
 
 
 def _write_entry(root: Path, entry: Path, digest: str, table: EmbeddingTable) -> None:

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import inspect
 import json
 import logging
 import math
@@ -14,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eastgen import cosine_similarity, k_nearest, load_embeddings
+import eastgen
+from eastgen import cli, cosine_similarity, embeddings, k_nearest, load_embeddings
 from eastgen.embeddings import (
-    CACHE_KEEP, MIN_NORM, STALE_WRITE_S, cache_dir, k_nearest_block, load_cached,
+    CACHE_FORMAT, CACHE_KEEP, MIN_NORM, STALE_WRITE_S, EmbeddingTable, cache_dir,
+    k_nearest_block, load_cached,
 )
 from eastgen.errors import EmbeddingFormatError, OutOfVocabularyError
 
@@ -40,6 +44,11 @@ class TestLoad:
         table = load_embeddings("a 1 0\nz 0 0\nb 0 1\n")
         assert "z" not in table
         assert table.skipped_zero_rows == 1
+
+    def test_a_table_built_by_hand_takes_its_zero_row_count_sixth(self):
+        t = load_embeddings("a 3 4\n")
+        table = EmbeddingTable(t.dimension, t.tokens, t.index, t.unit, t.norms, 5)
+        assert (table.skipped_zero_rows, table.zero_rows) == (5, [])
 
     def test_duplicate_keeps_first(self):
         table = load_embeddings("a 1 0\na 0 1\n")
@@ -339,6 +348,32 @@ class TestCache:
         load_cached(str(path), _parse)
         assert not stale.exists() and running.exists()
         assert len(cache_entries()) == 2  # the new entry and the running write
+
+    @pytest.mark.parametrize("package", [eastgen, np], ids=["eastgen", "numpy"])
+    def test_an_entry_of_another_release_is_not_read(self, tmp_path, caplog, monkeypatch,
+                                                     package):
+        path = tmp_path / "t.txt"
+        path.write_text(_CACHED_TEXT, encoding="utf-8")
+        miss = self._load(path, caplog)
+        monkeypatch.setattr(package, "__version__", "0.0.0")
+        parsed = []
+        assert self._load(path, caplog, parse=lambda p: parsed.append(p) or _parse(p)) == miss
+        assert parsed == [str(path)]
+        assert len(cache_entries()) == 2
+
+    def test_the_cache_format_changes_with_the_code_it_caches(self):
+        """A hit skips the parse, so an entry must not outlive a change to what
+        the parse accepts or gives, or to how an entry is written and read."""
+        code = (cli._open_text, cli._parse_embeddings, embeddings.iter_lines,
+                load_embeddings, EmbeddingTable, embeddings._entry_name,
+                embeddings._read_entry, embeddings._write_entry)
+        source = "".join(map(inspect.getsource, code)) + repr(
+            (MIN_NORM, embeddings.NORM_BLOCK_ROWS))
+        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+        assert (CACHE_FORMAT, digest) == (1, "a2458f54e5d9cea2"), (
+            "code that cached tables depend on changed: if what load_embeddings "
+            "accepts or returns, or the entry format, changed, bump CACHE_FORMAT; "
+            "then pin the new digest beside it")
 
 
 class TestCosine:
