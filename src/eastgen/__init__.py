@@ -43,7 +43,7 @@ from .east import (
     serialize,
     validate,
 )
-from .embeddings import EmbeddingTable, cosine_similarity, k_nearest, load_embeddings
+from .embeddings import EmbeddingTable, k_nearest, load_embeddings
 from .errors import EastgenError
 from .generator import (
     GeneratedSentence,
@@ -75,7 +75,6 @@ __all__ = [
     "abstract_entities",
     "build",
     "build_dataset",
-    "cosine_similarity",
     "deserialize",
     "detect_exchangeable",
     "determine_main_entities",

@@ -304,21 +304,6 @@ def _evict(root: Path) -> None:
         shutil.rmtree(path, ignore_errors=True)
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """dot(a, b) / (|a| * |b|); arguments must be same-length and nonzero."""
-    import numpy as np
-
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"length mismatch: {va.shape} vs {vb.shape}")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(va, vb) / (na * nb))
-
-
 def k_nearest(
     table: EmbeddingTable, query: str, k: int, among: Sequence[str] | None = None
 ) -> list[tuple[str, float]]:

@@ -12,10 +12,23 @@ similarity (the form itself weighs 1.0).
 
 One interpreter walks each tree's nodes, reading the cumulative weights
 and pre-split phrases every `Node` derives when it is built; the entity
-fill tables and kNN pools it draws from are built once per batch.
+fill tables and kNN pools it draws from are built once per batch, in
+each process that samples it.
 Only `generate_one` records provenance (the branch choices taken).
 `emit` renders each distinct sentence once and writes that text for every
 repeat, since a large batch draws most of its sentences many times.
+
+Each intent draws from its own stream, so `generate_batch` may sample
+whole intents in parallel: it splits them into one share per CPU, samples
+one share itself and each other share in an `os.fork()` child, and joins
+the results in sorted-intent order. The output bytes are the same for any
+CPU count. It forks only when no embedding table is in use, the batch has
+at least PARALLEL_MIN_DRAWS draws (a fork costs milliseconds, which a
+smaller batch barely wins back), the process may run on more than one CPU,
+and no second thread is running (a fork copies no thread, but may copy a
+lock one holds). With embeddings, sampling stays serial: kNN pools are
+built lazily, every process would build its own, and the extra queries
+cost more than the split saves.
 
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
 only Random.random() is consumed, so byte-identical output for a given
@@ -28,7 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import signal
+import threading
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,6 +61,8 @@ OUTPUT_FORMATS = ("conll", "records")
 # kNN pools are built this many queries at a time: one GEMM's scores take
 # QUERY_BLOCK x table rows x 8 bytes (3.2 MB at 25,000 rows)
 QUERY_BLOCK = 16
+# generate_batch forks only for a batch of at least this many draws
+PARALLEL_MIN_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -111,14 +130,15 @@ class _Fills:
     """Per-slot form tables (cumulative counts, a (tokens, tags) pair per
     form) and kNN pools, built on first use and shared by a batch's intents;
     a pool depends only on its candidate (and slot, for lexicon neighbors).
+    The counters tally substitutions since they were last reset.
     """
 
     def __init__(self, lexicon: EntityLexicon, table: EmbeddingTable | None,
-                 config: GenerationConfig, stats: GenerationStats):
+                 config: GenerationConfig):
         self.lexicon = lexicon
         self.table = table if config.use_embeddings else None
         self.config = config
-        self.stats = stats
+        self.knn_fills = self.oov_bypasses = self.multi_token_bypasses = 0
         self.forms: dict[str, tuple[tuple[int, ...], tuple]] = {}
         self.pools: dict = {}
 
@@ -161,18 +181,18 @@ class _Fills:
     def substitute(self, slot: str, tokens: tuple[str, ...], random) -> tuple[str, ...]:
         """Re-sample a drawn form from itself plus its nearest neighbors."""
         if len(tokens) > 1:  # no composition rule for multi-token forms
-            self.stats.multi_token_bypasses += 1
+            self.multi_token_bypasses += 1
             return tokens
         candidate = tokens[0]
         if candidate not in self.table:
-            self.stats.oov_bypasses += 1
+            self.oov_bypasses += 1
             return tokens
         key = (slot, candidate) if self.config.neighbors_within_lexicon else candidate
         pool = self.pools.get(key) or self.load_pools(slot, candidate)[key]
         cum, choices = pool
         i = _draw(cum, random)
         if i:
-            self.stats.knn_fills += 1
+            self.knn_fills += 1
         return choices[i]
 
 
@@ -246,7 +266,7 @@ def generate_one(
     """Sample one labeled sentence by a weighted traversal of the tree,
     recording its provenance."""
     prov: list[str] = []
-    fills = _Fills(lexicon, table, config, GenerationStats())
+    fills = _Fills(lexicon, table, config)
     tokens, tags = _interpret(tree.root, fills, rng, prov)
     return GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, tuple(prov))
 
@@ -254,6 +274,114 @@ def generate_one(
 def _intent_seed(seed: int, intent: str) -> int:
     digest = hashlib.sha256(f"{seed}\x00{intent}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
+                   ) -> tuple[list[GeneratedSentence], array, tuple[int, int, int]]:
+    """Draw `n` sentences of one intent from its own stream, seeded by
+    (seed, intent). Returns the distinct sentences in first-drawn order,
+    the index into them of every draw, and the intent's counters (kNN fills,
+    OOV bypasses, multi-token bypasses)."""
+    fills.knn_fills = fills.oov_bypasses = fills.multi_token_bypasses = 0
+    rng = random.Random(_intent_seed(fills.config.seed, intent))
+    root = tree.root
+    index: dict[tuple, int] = {}
+    draws = array("I")  # 4 bytes a draw: 2**32 draws would not fit in memory
+    for _ in range(n):
+        tokens, tags = _interpret(root, fills, rng, None)
+        draws.append(index.setdefault((tuple(tokens), tuple(tags)), len(index)))
+    distinct = [GeneratedSentence(tokens, tags, tree.intent, ()) for tokens, tags in index]
+    return distinct, draws, (fills.knn_fills, fills.oov_bypasses, fills.multi_token_bypasses)
+
+
+def _shares(counts: dict[str, int], fills: _Fills) -> list[list[str]]:
+    """Split the intents into one share per usable CPU, or return no shares
+    when the batch should stay in this process. The largest intent goes
+    first, each to the least-loaded share; a share lists its intents sorted.
+    """
+    if (fills.table is not None or sum(counts.values()) < PARALLEL_MIN_DRAWS
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1):
+        return []
+    shares: list[list[str]] = [[] for _ in range(min(len(os.sched_getaffinity(0)), len(counts)))]
+    loads = [0] * len(shares)
+    for intent in sorted(counts, key=lambda i: (-counts[i], i)):
+        k = loads.index(min(loads))
+        loads[k] += counts[intent]
+        shares[k].append(intent)
+    return [sorted(share) for share in shares]
+
+
+def _sample_forked(shares: list[list[str]], trees: dict[str, East],
+                   counts: dict[str, int], fills: _Fills) -> dict:
+    """Sample the first share here and every other share in a forked child,
+    which sends its results back pickled through a pipe. A share whose child
+    cannot start, fails or sends short data is sampled here instead, so any
+    error is raised here; of several, the first failing intent's is raised.
+    """
+    import pickle
+
+    results: dict = {}
+    errors: list[tuple[str, Exception]] = []
+
+    def sample(share: list[str]) -> None:
+        for intent in share:
+            try:
+                results[intent] = _sample_intent(intent, trees[intent], counts[intent], fills)
+            except Exception as error:
+                errors.append((intent, error))
+                return
+
+    children: dict[int, tuple] = {}  # pid -> (read end of its pipe, share)
+    rerun: list[list[str]] = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                rerun.append(share)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    data = pickle.dumps(
+                        {i: _sample_intent(i, trees[i], counts[i], fills) for i in share},
+                        pickle.HIGHEST_PROTOCOL)
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = (open(read, "rb"), share)
+        sample(shares[0])
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            try:
+                sent = pickle.loads(data) if status == 0 else None
+            except (pickle.UnpicklingError, EOFError):  # short data
+                sent = None
+            del data
+            if sent is not None and sorted(sent) == share:
+                results.update(sent)
+            else:
+                rerun.append(share)
+        for share in rerun:
+            sample(share)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if errors:
+        raise min(errors, key=lambda failure: failure[0])[1]
+    return results
 
 
 def generate_batch(
@@ -269,7 +397,8 @@ def generate_batch(
 
     Intents are processed in sorted order with a sub-seed derived from
     (seed, intent), so output is fully determined by the config seed and
-    independent of tree-map ordering. Duplicates are legitimate samples.
+    independent of tree-map ordering and of how many CPUs sample it.
+    Duplicates are legitimate samples.
     """
     if lexicon is None:
         if dataset is None:
@@ -277,29 +406,41 @@ def generate_batch(
         lexicon = dataset.lexicon
     intent_sizes = dataset.intent_counts() if dataset is not None else {}
 
-    stats = stats if stats is not None else GenerationStats()
-    fills = _Fills(lexicon, table, config, stats)
-    out: list[GeneratedSentence] = []
-    # equal sentences share one object: most draws of a small tree repeat
-    # one, and each kept copy would cost memory and garbage-collector scans
-    distinct: dict[GeneratedSentence, GeneratedSentence] = {}
+    counts: dict[str, int] = {}
+    missing = None  # sampling stops at the first intent without a size
     for intent in sorted(trees):
-        tree = trees[intent]
         if config.count is not None:
-            n = config.count
+            counts[intent] = config.count
+        elif intent in intent_sizes:
+            counts[intent] = config.factor * intent_sizes[intent]
         else:
-            if intent not in intent_sizes:
-                raise MissingTrainingSizeError(intent)
-            n = config.factor * intent_sizes[intent]
-        rng = random.Random(_intent_seed(config.seed, intent))
-        root = tree.root
-        for _ in range(n):
-            tokens, tags = _interpret(root, fills, rng, None)
-            sentence = GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, ())
-            out.append(distinct.setdefault(sentence, sentence))
+            missing = intent
+            break
+    fills = _Fills(lexicon, table, config)
+    shares = _shares(counts, fills)
+    if len(shares) > 1:
+        results = _sample_forked(shares, trees, counts, fills)
+    else:
+        results = {i: _sample_intent(i, trees[i], n, fills) for i, n in counts.items()}
+    if missing is not None:
+        raise MissingTrainingSizeError(missing)
+
+    stats = stats if stats is not None else GenerationStats()
+    out: list[GeneratedSentence] = []
+    distinct = 0
+    for intent, n in counts.items():
+        # popped, so each intent's draws are freed once copied into `out`
+        sentences, draws, (knn_fills, oov_bypasses, multi_token_bypasses) = results.pop(intent)
+        # equal sentences share one object: most draws of a small tree repeat
+        # one, and each kept copy would cost memory and garbage-collector scans
+        out += map(sentences.__getitem__, draws)
+        distinct += len(sentences)  # sentences of two intents never compare equal
         stats.sentences_per_intent[intent] += n
+        stats.knn_fills += knn_fills
+        stats.oov_bypasses += oov_bypasses
+        stats.multi_token_bypasses += multi_token_bypasses
     stats.total += len(out)
-    stats.distinct = len(distinct)
+    stats.distinct = distinct
     return out
 
 

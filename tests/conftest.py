@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from eastgen import build_dataset, parse_conll
+from eastgen import build_dataset, generator, parse_conll
 from eastgen.embeddings import cache_dir
 
 AIRLINE_CONLL = """\
@@ -67,6 +69,30 @@ def cache_home(tmp_path_factory, monkeypatch):
     home = tmp_path_factory.mktemp("xdg-cache")
     monkeypatch.setenv("XDG_CACHE_HOME", str(home))
     return home
+
+
+@pytest.fixture
+def force_split(monkeypatch):
+    """Call it to make `generate_batch` split any table-free batch over three
+    CPUs, whatever the host has; it returns the list that collects the pid
+    of every child the batch forks."""
+
+    def split() -> list[int]:
+        forked: list[int] = []
+        fork = os.fork
+
+        def counted_fork() -> int:
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(generator, "PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forked
+
+    return split
 
 
 def cache_entries() -> list[str]:

@@ -19,7 +19,7 @@ from eastgen import (
     validate,
 )
 from eastgen.corpus import Literal, Placeholder
-from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, PICKONE, iter_nodes
+from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, ORDER, PICKONE, iter_nodes
 
 
 def sentence(intent, *pairs):
@@ -336,6 +336,68 @@ class TestBuild:
 
     def test_build_is_deterministic(self, airline_dataset):
         assert build(airline_dataset) == build(airline_dataset)
+
+
+def _reserve(party: bool, time: bool):
+    tail = [("for", "O"), ("4", "B-party")] if party else []
+    at = [("at", "O"), ("8pm", "B-time")] if time else []
+    return sentence("reserve", ("book", "O"), ("nopa", "B-restaurant"), *at, *tail)
+
+
+def _travel(airline: bool, date: bool):
+    on = [("on", "O"), ("friday", "B-date")] if date else []
+    tail = [("with", "O"), ("klm", "B-airline")] if airline else []
+    return sentence("travel", ("fly", "O"), *on, ("to", "O"), ("oslo", "B-city"), *tail)
+
+
+# slot shares lie at least 0.2 from the default threshold of 0.5
+AWAY_FROM_THRESHOLD = (
+    [_reserve(party=True, time=True)] * 2
+    + [_reserve(party=False, time=True)] * 6
+    + [_reserve(party=False, time=False)] * 2
+    + [_travel(airline=True, date=True)]
+    + [_travel(airline=False, date=True)] * 8
+    + [_travel(airline=False, date=False)]
+)
+
+# intent -> (slot shares, main entities, spine)
+AWAY_EXPECTED = {
+    "reserve": (
+        {"restaurant": Fraction(1), "time": Fraction(4, 5), "party": Fraction(1, 5)},
+        ["restaurant", "time"],
+        ("restaurant", "time"),
+    ),
+    # main entities rank by share; the spine keeps the sentences' order
+    "travel": (
+        {"city": Fraction(1), "date": Fraction(9, 10), "airline": Fraction(1, 10)},
+        ["city", "date"],
+        ("date", "city"),
+    ),
+}
+
+
+class TestMainEntitiesAwayFromThreshold:
+    """Which slots become main, and the spine they form, on corpora whose
+    slot shares lie well away from the threshold: any threshold inside the
+    gap gives the same tree skeleton, so sampling noise cannot flip it."""
+
+    @pytest.mark.parametrize("threshold", [0.35, 0.5, 0.65])
+    def test_main_entities_and_spine_are_pinned(self, threshold):
+        dataset = build_dataset(AWAY_FROM_THRESHOLD)
+        trees = build(dataset, BuilderConfig(main_entity_threshold=threshold))
+        for intent, (shares, main, spine) in AWAY_EXPECTED.items():
+            templates = dataset.by_intent[intent]
+            occ = entity_occurrence(templates)
+            assert occ == shares
+            assert min(abs(share - threshold) for share in occ.values()) > 0.1
+            assert determine_main_entities(occ, threshold) == main
+            assert skeleton(main, templates).spine_labels == spine
+            # the spine is the built tree's first alignment
+            root = trees[intent].root
+            assert root.kind == PICKONE  # the sentences without a main entity branch off
+            alignment = root.children[0]
+            assert alignment.kind == ORDER
+            assert tuple(c.slot for c in alignment.children if c.kind == ENTITY) == spine
 
 
 class TestSwapPlanning:

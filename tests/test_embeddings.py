@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eastgen
-from eastgen import cli, cosine_similarity, embeddings, k_nearest, load_embeddings
+from eastgen import cli, embeddings, k_nearest, load_embeddings
 from eastgen.embeddings import (
     CACHE_FORMAT, CACHE_KEEP, MIN_NORM, STALE_WRITE_S, EmbeddingTable, cache_dir,
     k_nearest_block, load_cached,
@@ -374,57 +374,6 @@ class TestCache:
             "code that cached tables depend on changed: if what load_embeddings "
             "accepts or returns, or the entry format, changed, bump CACHE_FORMAT; "
             "then pin the new digest beside it")
-
-
-class TestCosine:
-    def test_identical_direction(self):
-        assert cosine_similarity([1, 0], [1, 0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
-
-    def test_forty_five_degrees(self):
-        # 1/sqrt(2), worked by hand
-        assert cosine_similarity([1, 1], [1, 0]) == pytest.approx(
-            0.70710678, abs=1e-8
-        )
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0, 0], [1, 0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([1], [1, 0])
-
-
-# components bounded away from zero so squared norms cannot underflow
-_component = st.one_of(
-    st.floats(min_value=0.01, max_value=100),
-    st.floats(min_value=-100, max_value=-0.01),
-    st.just(0.0),
-)
-finite_vectors = st.lists(_component, min_size=3, max_size=3).filter(any)
-
-
-@given(finite_vectors, finite_vectors)
-def test_cosine_symmetry(a, b):
-    assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-9)
-
-
-@given(finite_vectors, st.floats(min_value=0.1, max_value=50))
-def test_cosine_scale_invariance(a, scale):
-    scaled = [x * scale for x in a]
-    assert cosine_similarity(a, scaled) == pytest.approx(1.0, abs=1e-9)
-    assert cosine_similarity(scaled, a) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_self_similarity_for_loaded_vectors(vector_fixture):
-    text, _ = vector_fixture
-    table = load_embeddings(text)
-    for token in table.tokens[:50]:
-        v = table.vector(token)
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKNearest:

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -34,6 +37,7 @@ from eastgen.errors import MissingLexiconError
 
 from helpers import (
     brute_force_knn,
+    ground_truth_world,
     path_distribution,
     random_tree_with_budget,
     small_lexicon,
@@ -309,6 +313,106 @@ class TestBatch:
         extra = East("orphan", order(fixed({"hi": 1})))
         with pytest.raises(ValueError):
             generate_batch({**trees, "orphan": extra}, tiny_dataset, cfg(factor=1))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedBatch:
+    """`generate_batch` split over forked children, forced by `force_split`,
+    against the serial batch; no test may leave a child behind."""
+
+    def batch(self, **config) -> tuple[list[GeneratedSentence], dict]:
+        trees, lexicon = ground_truth_world()
+        stats = GenerationStats()
+        out = generate_batch(trees, None, cfg(**config), lexicon=lexicon, stats=stats)
+        return out, stats.to_dict()
+
+    def test_forked_batch_equals_serial(self, force_split):
+        serial = self.batch(count=400, seed=3)
+        children = force_split()
+        assert self.batch(count=400, seed=3) == serial
+        assert len(children) == 2
+        assert_no_child_left()
+
+    def test_first_failing_intent_raises_as_serially(self, force_split):
+        # sizes 1, 3 and 5 put "c" in this process's share and "a" in a
+        # child's; both lack their slot, and the sorted-first "a" must win
+        corpus = [
+            AnnotatedSentence(("hi",), ("O",), intent)
+            for intent, size in (("a", 1), ("b", 3), ("c", 5)) for _ in range(size)
+        ]
+        dataset = build_dataset(corpus)
+        trees = {
+            "a": East("a", order(fixed({"to": 1}), entity("gap_a"))),
+            "b": East("b", order(fixed({"hi": 1}))),
+            "c": East("c", order(fixed({"to": 1}), entity("gap_c"))),
+        }
+
+        def failure():
+            with pytest.raises(MissingLexiconError) as raised:
+                generate_batch(trees, dataset, cfg(factor=1), lexicon=EntityLexicon())
+            return str(raised.value)
+
+        serial = failure()
+        assert "gap_a" in serial
+        children = force_split()
+        assert failure() == serial
+        assert len(children) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["exit", "short data", "no fork"])
+    def test_a_failed_child_share_is_sampled_here(self, force_split, monkeypatch, fault):
+        serial = self.batch(count=300)
+        children = force_split()
+        parent = os.getpid()
+        if fault == "no fork":
+            def refused():
+                raise BlockingIOError("fork: resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", refused)
+        elif fault == "exit":
+            sample_intent = generator._sample_intent
+
+            def dying(*args):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return sample_intent(*args)
+
+            monkeypatch.setattr(generator, "_sample_intent", dying)
+        else:
+            dumps = pickle.dumps
+
+            def truncated(*args):
+                data = dumps(*args)
+                return data[:len(data) // 2] if os.getpid() != parent else data
+
+            monkeypatch.setattr(pickle, "dumps", truncated)
+        assert self.batch(count=300) == serial
+        assert len(children) == (0 if fault == "no fork" else 2)
+        assert_no_child_left()
+
+    def test_children_are_killed_when_this_process_raises(self, force_split, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def stuck(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise Stop
+
+        children = force_split()
+        monkeypatch.setattr(generator, "_sample_intent", stuck)
+        start = time.monotonic()
+        with pytest.raises(Stop):
+            self.batch(count=300)
+        assert time.monotonic() - start < 30
+        assert len(children) == 2
+        assert_no_child_left()
 
 
 class TestLanguageSoundness:

@@ -107,9 +107,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_generate_digest_is_pinned(case, inputs, tmp_path):
+@pytest.mark.parametrize("case, forked", [
+    *(pytest.param(case, False, id=case) for case in sorted(GOLDEN)),
+    # --count 300 draws 1,500 sentences, too few to fork unless forced
+    pytest.param("no-embeddings", True, id="no-embeddings-forked"),
+])
+def test_generate_digest_is_pinned(case, forked, inputs, tmp_path, force_split):
     extra, corpus_digest, stats_digest = GOLDEN[case]
+    children = force_split() if forked else []
     trees_dir, lexicon_path, table_path = inputs
     out = tmp_path / "out.txt"
     args = [
@@ -125,6 +130,7 @@ def test_generate_digest_is_pinned(case, inputs, tmp_path):
     assert main(args + extra) == 0
     stats = out.with_name(out.name + ".stats.json")
     assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
+    assert len(children) == (2 if forked else 0)
 
 
 def test_generate_digests_hold_on_a_cache_hit(inputs, tmp_path, monkeypatch):
@@ -213,6 +219,17 @@ def _region_slots(node) -> set[str]:
 
 
 def test_build_and_export_regex_digests_are_pinned(tmp_path):
+    _check_build_and_export_regex_digests(tmp_path)
+
+
+def test_build_and_export_regex_digests_hold_when_forked(tmp_path, force_split):
+    """The same, with the sampled corpus drawn by three processes."""
+    children = force_split()
+    _check_build_and_export_regex_digests(tmp_path)
+    assert len(children) == 2
+
+
+def _check_build_and_export_regex_digests(tmp_path):
     trees, lexicon = ground_truth_world()
     config = GenerationConfig(seed=BUILD_SEED, count=BUILD_COUNT, use_embeddings=False)
     corpus = tmp_path / "corpus.conll"
