@@ -11,6 +11,10 @@ changed; only a change that declares new output may update these values.
 A second case pins `eastgen build` and `export-regex` on a corpus sampled
 from the same trees, so refactors of the builder and the regex exporter
 are held to the same promise.
+
+The `no-embeddings` case and the build case run once more with the batch
+split over forked processes, which their small counts never trigger on
+their own: the bytes must not depend on how many processes sample them.
 """
 
 import hashlib
