@@ -8,10 +8,13 @@ re-scored with a correctly rounded sum (after Johnson et al., "Billion-scale
 similarity search with GPUs", arXiv:1702.08734). Similarities and their
 order therefore do not depend on the BLAS build or the block a query is in.
 
-A parsed table can be cached on disk (``load_cached``): one entry per
-file content and release, under ``$XDG_CACHE_HOME/eastgen/embeddings/`` (or
-``~/.cache/eastgen/embeddings/``), so a later load of the same bytes skips
-the text parse.
+A table is its tokens, their row index, the unit-normalized rows and the
+all-zero rows the parse skipped; the norms are taken only to check and
+normalize the rows. A parsed table can be cached on disk (``load_cached``):
+one file per file content and release, holding the unit rows as ``.npy``
+followed by the tokens and zero rows as JSON, under
+``$XDG_CACHE_HOME/eastgen/embeddings/`` (or ``~/.cache/eastgen/embeddings/``),
+so a later load of the same bytes skips the text parse.
 
 numpy is imported by the functions that use it, not by this module, so a
 program that loads no embeddings never loads numpy or its BLAS.
@@ -19,6 +22,7 @@ program that loads no embeddings never loads numpy or its BLAS.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -50,21 +54,18 @@ ZERO_ROW_WARNING = "skipping zero vector for token %r (line %d)"
 # input or its output changes, or the entry format does, so no entry written
 # before is read again. tests/test_embeddings.py pins it with a digest of the
 # source of the parse and of the entry code, and fails until it is bumped.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 CACHE_KEEP = 3  # entries kept, the most recently used
 STALE_WRITE_S = 3600  # an unfinished entry this old was left by a killed process
 
 
 @dataclass
 class EmbeddingTable:
-    """Immutable token -> vector mapping held as a unit-normalized matrix for KNN."""
+    """Immutable token -> row mapping held as a unit-normalized matrix for KNN."""
 
-    dimension: int
     tokens: list[str]
     index: dict[str, int] = field(repr=False)
     unit: np.ndarray = field(repr=False)  # shape (n, dimension), rows of norm 1
-    norms: np.ndarray = field(repr=False)  # shape (n,), each row's original norm
-    skipped_zero_rows: int = 0
     # (token, line) of each all-zero row that was skipped, in file order
     zero_rows: list[tuple[str, int]] = field(default_factory=list, repr=False)
 
@@ -73,13 +74,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def vector(self, token: str) -> np.ndarray:
-        try:
-            i = self.index[token]
-        except KeyError:
-            raise OutOfVocabularyError(token) from None
-        return self.unit[i] * self.norms[i]
 
 
 def iter_lines(handle: TextIO) -> Iterator[str]:
@@ -162,8 +156,7 @@ def load_embeddings(source: str | TextIO) -> EmbeddingTable:
                  else "squared norm underflows or overflows float64")
         raise EmbeddingFormatError(f"{fault} for {tokens[row]!r}", line_of[row])
     matrix /= norms[:, None]  # in place: the table keeps only the unit-normalized rows
-    return EmbeddingTable(matrix.shape[1], tokens, index, matrix, norms, len(zero_rows),
-                          zero_rows)
+    return EmbeddingTable(tokens, index, matrix, zero_rows)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -239,23 +232,23 @@ def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
     import numpy as np
 
     try:
-        with open(entry / "meta.json", encoding="utf-8") as handle:
-            meta = json.load(handle)
+        with open(entry, "rb") as handle:
+            # np.load reads a real file straight into the array and leaves the
+            # handle at its end, where the JSON starts
+            unit = np.load(handle, allow_pickle=False)
+            meta = json.loads(handle.read())
         if meta["sha256"] != digest:
             log.info("embedding cache entry %s holds another file", entry)
             return None
-        tokens, dimension = meta["tokens"], meta["dimension"]
+        tokens = meta["tokens"]
         zero_rows = [(token, line) for token, line in meta["zero_rows"]]
         index = dict(zip(tokens, range(len(tokens))))
-        unit = np.load(entry / "unit.npy", allow_pickle=False)
-        norms = np.load(entry / "norms.npy", allow_pickle=False)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         log.info("embedding cache entry %s unreadable: %s", entry, exc)
         return None
-    if (unit.dtype != np.float64 or unit.shape != (len(tokens), dimension)
-            or norms.dtype != np.float64 or norms.shape != (len(tokens),)
+    if (unit.dtype != np.float64 or unit.ndim != 2 or len(unit) != len(tokens)
             or len(index) != len(tokens)):
         log.info("embedding cache entry %s has inconsistent shapes", entry)
         return None
@@ -263,7 +256,7 @@ def _read_entry(entry: Path, digest: str) -> EmbeddingTable | None:
         os.utime(entry)  # marks it most recently used for eviction
     except OSError as exc:
         log.info("embedding cache entry %s not touched: %s", entry, exc)
-    return EmbeddingTable(unit.shape[1], tokens, index, unit, norms, len(zero_rows), zero_rows)
+    return EmbeddingTable(tokens, index, unit, zero_rows)
 
 
 def _write_entry(root: Path, entry: Path, digest: str, table: EmbeddingTable) -> None:
@@ -272,36 +265,35 @@ def _write_entry(root: Path, entry: Path, digest: str, table: EmbeddingTable) ->
     import numpy as np
 
     root.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=root, prefix=".tmp-"))
+    fd, tmp = tempfile.mkstemp(dir=root, prefix=".tmp-")
     try:
-        # np.save writes each array to a real file straight from its buffer
-        np.save(tmp / "unit.npy", table.unit, allow_pickle=False)
-        np.save(tmp / "norms.npy", table.norms, allow_pickle=False)
-        meta = {"sha256": digest, "dimension": table.dimension, "tokens": table.tokens,
-                "zero_rows": table.zero_rows}
-        with open(tmp / "meta.json", "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(meta))
-        if entry.exists():  # an entry that failed its checks
-            shutil.rmtree(entry)
-        os.rename(tmp, entry)
+        with open(fd, "wb") as handle:
+            # np.save writes the array to a real file straight from its buffer
+            np.save(handle, table.unit, allow_pickle=False)
+            meta = {"sha256": digest, "tokens": table.tokens, "zero_rows": table.zero_rows}
+            handle.write(json.dumps(meta).encode("utf-8"))
+        os.replace(tmp, entry)
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise
     _evict(root)
 
 
 def _evict(root: Path) -> None:
+    """Keep the CACHE_KEEP most recently used entries. Remove unfinished writes
+    older than STALE_WRITE_S, and every directory: format-1 entries and their
+    unfinished writes, which no release reads any more."""
     entries, stale = [], time.time_ns() - STALE_WRITE_S * 10**9
     for item in os.scandir(root):
-        if not item.is_dir(follow_symlinks=False):
-            continue
-        mtime = item.stat(follow_symlinks=False).st_mtime_ns
-        if not item.name.startswith("."):
-            entries.append((mtime, item.path))
-        elif mtime < stale:
+        if item.is_dir(follow_symlinks=False):
             shutil.rmtree(item.path, ignore_errors=True)
+        elif not item.name.startswith("."):
+            entries.append((item.stat(follow_symlinks=False).st_mtime_ns, item.path))
+        elif item.stat(follow_symlinks=False).st_mtime_ns < stale:
+            Path(item.path).unlink(missing_ok=True)  # another process may remove it too
     for _, path in sorted(entries, reverse=True)[CACHE_KEEP:]:
-        shutil.rmtree(path, ignore_errors=True)
+        Path(path).unlink(missing_ok=True)
 
 
 def k_nearest(
@@ -345,7 +337,7 @@ def k_nearest_block(
         candidates = np.fromiter(in_table, dtype=np.intp)
         scores = unit[rows] @ unit[candidates].T
     scores[candidates[None, :] == rows[:, None]] = -np.inf  # no query is its own neighbor
-    margin = 2 * (table.dimension + 2) * np.finfo(np.float64).eps
+    margin = 2 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
 
     results = []
     for row, sims in zip(rows.tolist(), scores):

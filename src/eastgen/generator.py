@@ -96,7 +96,7 @@ class GeneratedSentence(NamedTuple):
 
 @dataclass
 class GenerationStats:
-    """Batch sidecar: per-intent counts plus substitution bookkeeping."""
+    """One batch's sidecar: per-intent counts plus substitution bookkeeping."""
 
     sentences_per_intent: Counter = field(default_factory=Counter)
     knn_fills: int = 0
@@ -398,8 +398,12 @@ def generate_batch(
     Intents are processed in sorted order with a sub-seed derived from
     (seed, intent), so output is fully determined by the config seed and
     independent of tree-map ordering and of how many CPUs sample it.
-    Duplicates are legitimate samples.
+    Duplicates are legitimate samples. A `stats` object describes one batch:
+    its distinct count cannot be added up over batches, so one that has
+    already counted sentences is a ValueError.
     """
+    if stats is not None and stats.total:
+        raise ValueError("a GenerationStats describes one batch; pass a fresh one")
     if lexicon is None:
         if dataset is None:
             raise ValueError("either a dataset or a lexicon is required")
@@ -439,7 +443,7 @@ def generate_batch(
         stats.knn_fills += knn_fills
         stats.oov_bypasses += oov_bypasses
         stats.multi_token_bypasses += multi_token_bypasses
-    stats.total += len(out)
+    stats.total = len(out)
     stats.distinct = distinct
     return out
 

@@ -12,8 +12,11 @@ import random
 from dataclasses import replace
 from itertools import permutations
 
-import sre_constants
-import sre_parse
+try:  # the regex parser's modules, named sre_* before Python 3.11
+    from re import _constants as sre_constants, _parser as sre_parse
+except ImportError:
+    import sre_constants
+    import sre_parse
 
 from eastgen import (
     East,

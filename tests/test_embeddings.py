@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import inspect
+import io
 import json
 import logging
 import math
@@ -32,8 +33,8 @@ class TestLoad:
     def test_minimal(self):
         table = load_embeddings("a 1 0 0\nb 0 1 0\n")
         assert len(table) == 2
-        assert table.dimension == 3
-        assert list(table.vector("a")) == [1.0, 0.0, 0.0]
+        assert table.unit.shape == (2, 3)
+        assert table.unit[table.index["a"]].tolist() == [1.0, 0.0, 0.0]
 
     def test_dimension_mismatch_names_line(self):
         with pytest.raises(EmbeddingFormatError) as err:
@@ -43,16 +44,11 @@ class TestLoad:
     def test_zero_vector_rejected_with_count(self):
         table = load_embeddings("a 1 0\nz 0 0\nb 0 1\n")
         assert "z" not in table
-        assert table.skipped_zero_rows == 1
-
-    def test_a_table_built_by_hand_takes_its_zero_row_count_sixth(self):
-        t = load_embeddings("a 3 4\n")
-        table = EmbeddingTable(t.dimension, t.tokens, t.index, t.unit, t.norms, 5)
-        assert (table.skipped_zero_rows, table.zero_rows) == (5, [])
+        assert table.zero_rows == [("z", 2)]
 
     def test_duplicate_keeps_first(self):
         table = load_embeddings("a 1 0\na 0 1\n")
-        assert list(table.vector("a")) == [1.0, 0.0]
+        assert table.unit[table.index["a"]].tolist() == [1.0, 0.0]
 
     def test_empty_file(self):
         with pytest.raises(EmbeddingFormatError):
@@ -74,7 +70,7 @@ class TestLoad:
             load_embeddings("a 1 0\na x 0\n")
         assert err.value.line == 2
         table = load_embeddings("a 1 0\na nan 0\n")  # first occurrence wins
-        assert list(table.vector("a")) == [1.0, 0.0]
+        assert table.unit[table.index["a"]].tolist() == [1.0, 0.0]
 
     def test_non_finite_line_counts_skipped_lines(self):
         with pytest.raises(EmbeddingFormatError) as err:
@@ -106,15 +102,16 @@ class TestLoad:
         table = load_embeddings("a 3 4\nz 0 0\nb 0 -2\n")
         assert table.tokens == ["a", "b"]
         assert table.unit.tolist() == [[0.6, 0.8], [0.0, -1.0]]
-        assert table.norms.tolist() == [5.0, 2.0]
-        assert list(table.vector("b")) == [0.0, -2.0]
+        assert table.unit[table.index["b"]].tolist() == [0.0, -1.0]
+        assert table.zero_rows == [("z", 2)]
 
     def test_thousand_row_fixture(self, vector_fixture):
         text, vectors = vector_fixture
         table = load_embeddings(text)
         assert len(table) == 1000
-        assert table.dimension == 16
-        assert np.allclose(table.vector("tok0042"), vectors["tok0042"])
+        assert table.unit.shape == (1000, 16)
+        vector = np.array(vectors["tok0042"])
+        assert np.allclose(table.unit[table.index["tok0042"]], vector / np.linalg.norm(vector))
 
 
 def _outcome(source):
@@ -123,7 +120,7 @@ def _outcome(source):
         table = load_embeddings(source)
     except EmbeddingFormatError as exc:
         return type(exc), exc.line, str(exc)
-    return table.tokens, table.unit.tobytes(), table.norms.tobytes(), table.skipped_zero_rows
+    return _outcome_of(table)
 
 
 _cell = st.sampled_from([
@@ -213,7 +210,7 @@ def _parse(path):
 
 
 def _outcome_of(table):
-    return table.tokens, table.unit.tobytes(), table.norms.tobytes(), table.skipped_zero_rows
+    return table.tokens, table.unit.shape, table.unit.tobytes(), table.zero_rows
 
 
 def _no_parse(path):
@@ -224,27 +221,45 @@ def _no_parse(path):
 _CACHED_TEXT = "a 3 4\nz 0 0\nb 0 -2\na 9 9\n\ny 0.0 -0\n 1 1\nc 1e-3 2\n"
 
 
-def _truncated(entry):
-    data = (entry / "unit.npy").read_bytes()
-    (entry / "unit.npy").write_bytes(data[: len(data) - 8])
+def _split(entry):
+    """An entry's array, its JSON bytes and the offset where they start."""
+    stream = io.BytesIO(entry.read_bytes())
+    unit = np.load(stream)  # a stream that is not a file is read exactly, chunk by chunk
+    end = stream.tell()
+    return unit, stream.read(), end
+
+
+def _join(entry, unit, meta, allow_pickle=False):
+    with open(entry, "wb") as handle:
+        np.save(handle, unit, allow_pickle=allow_pickle)
+        handle.write(meta)
+
+
+def _truncated(entry):  # cut inside the array
+    _, _, end = _split(entry)
+    entry.write_bytes(entry.read_bytes()[: end - 8])
 
 
 def _foreign_array(entry):  # an object array, which only unpickling could read
-    np.save(entry / "unit.npy", np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    _, meta, _ = _split(entry)
+    _join(entry, np.array([{"a": 1}], dtype=object), meta, allow_pickle=True)
 
 
 def _foreign_meta(entry):
-    (entry / "meta.json").write_text("[1, 2]")
+    unit, _, _ = _split(entry)
+    _join(entry, unit, b"[1, 2]")
 
 
 def _wrong_digest(entry):
-    meta = json.loads((entry / "meta.json").read_text())
+    unit, meta, _ = _split(entry)
+    meta = json.loads(meta)
     meta["sha256"] = "0" * 64
-    (entry / "meta.json").write_text(json.dumps(meta))
+    _join(entry, unit, json.dumps(meta).encode("utf-8"))
 
 
-def _short_norms(entry):
-    np.save(entry / "norms.npy", np.ones(1))
+def _short_unit(entry):  # one row fewer than tokens
+    unit, meta, _ = _split(entry)
+    _join(entry, unit[:-1], meta)
 
 
 class TestCache:
@@ -262,10 +277,11 @@ class TestCache:
         path = tmp_path / "t.txt"
         path.write_text(_CACHED_TEXT, encoding="utf-8")
         miss = self._load(path, caplog)
-        assert len(cache_entries()) == 1
+        [name] = cache_entries()
+        assert (cache_dir() / name).is_file()
         hit = self._load(path, caplog, parse=_no_parse)
         assert hit == miss == self._load(path, caplog)  # the last one also hits
-        assert miss[0][3] == 2 and miss[0][0] == ["a", "b", "", "c"]
+        assert miss[0][3] == [("z", 2), ("y", 6)] and miss[0][0] == ["a", "b", "", "c"]
         assert [m for _, _, m in miss[1]] == [
             "skipping zero vector for token 'z' (line 2)",
             "skipping zero vector for token 'y' (line 6)",
@@ -294,7 +310,7 @@ class TestCache:
         assert cache_entries() == []
 
     @pytest.mark.parametrize(
-        "damage", [_truncated, _foreign_array, _foreign_meta, _wrong_digest, _short_norms]
+        "damage", [_truncated, _foreign_array, _foreign_meta, _wrong_digest, _short_unit]
     )
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, tmp_path, caplog, damage):
         path = tmp_path / "t.txt"
@@ -337,10 +353,10 @@ class TestCache:
         assert cache_entries() == sorted([names[1], names[3], newest])
 
     def test_a_write_removes_only_stale_unfinished_writes(self, tmp_path):
+        cache_dir().mkdir(parents=True)
         stale, running = cache_dir() / ".tmp-killed", cache_dir() / ".tmp-running"
         for unfinished in (stale, running):
-            unfinished.mkdir(parents=True)
-            (unfinished / "unit.npy").write_bytes(b"partial")
+            unfinished.write_bytes(b"partial")
         old = time.time() - STALE_WRITE_S - 60
         os.utime(stale, (old, old))
         path = tmp_path / "t.txt"
@@ -348,6 +364,23 @@ class TestCache:
         load_cached(str(path), _parse)
         assert not stale.exists() and running.exists()
         assert len(cache_entries()) == 2  # the new entry and the running write
+
+    def test_a_write_removes_format_1_directories(self, tmp_path):
+        """Format 1 kept each entry, and each unfinished write, as a directory;
+        no release reads them, so a write removes them whatever their age."""
+        old_entry = cache_dir() / f"v1-{eastgen.__version__}-numpy{np.__version__}-{'0' * 64}"
+        old_write = cache_dir() / ".tmp-running"
+        for directory in (old_entry, old_write):
+            directory.mkdir(parents=True)
+            for name in ("unit.npy", "norms.npy", "meta.json"):
+                (directory / name).write_bytes(b"format 1")
+        path = tmp_path / "t.txt"
+        path.write_text("a 1 2\n", encoding="utf-8")
+        load_cached(str(path), _parse)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        name = f"v{CACHE_FORMAT}-{eastgen.__version__}-numpy{np.__version__}-{digest}"
+        assert cache_entries() == [name]
+        assert (cache_dir() / name).is_file()
 
     @pytest.mark.parametrize("package", [eastgen, np], ids=["eastgen", "numpy"])
     def test_an_entry_of_another_release_is_not_read(self, tmp_path, caplog, monkeypatch,
@@ -370,7 +403,7 @@ class TestCache:
         source = "".join(map(inspect.getsource, code)) + repr(
             (MIN_NORM, embeddings.NORM_BLOCK_ROWS))
         digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-        assert (CACHE_FORMAT, digest) == (1, "a2458f54e5d9cea2"), (
+        assert (CACHE_FORMAT, digest) == (2, "8b1b2fb36e8440be"), (
             "code that cached tables depend on changed: if what load_embeddings "
             "accepts or returns, or the entry format, changed, bump CACHE_FORMAT; "
             "then pin the new digest beside it")
@@ -545,8 +578,7 @@ from eastgen.embeddings import EmbeddingTable, k_nearest, k_nearest_block
 matrix = np.random.default_rng(71).normal(size=(5000, 300))
 norms = np.linalg.norm(matrix, axis=1)
 tokens = [f"t{i}" for i in range(5000)]
-table = EmbeddingTable(300, tokens, {t: i for i, t in enumerate(tokens)},
-                       matrix / norms[:, None], norms)
+table = EmbeddingTable(tokens, {t: i for i, t in enumerate(tokens)}, matrix / norms[:, None])
 result = [k_nearest(table, t, 10) for t in tokens[::50]]
 result += k_nearest_block(table, tokens[::125], 10)  # a GEMM with 40 rows
 print(hashlib.sha256(repr(result).encode()).hexdigest())

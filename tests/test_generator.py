@@ -308,6 +308,25 @@ class TestBatch:
         assert stats.sentences_per_intent == {"greet": 4, "go": 2}
         assert 0.0 <= stats.duplicate_rate < 1.0
 
+    def test_a_stats_object_describes_one_batch(self):
+        """Counted into one object, two batches gave total 2000 against the
+        second batch's 353 distinct sentences (rate 0.8235), where the two
+        hold 501 (0.7495); so an object that has counted a batch is refused."""
+        trees, lexicon = ground_truth_world()
+        batches, stats = [], GenerationStats()
+        for seed in (1, 2):
+            fresh = GenerationStats()
+            batches.append(generate_batch(trees, None, cfg(count=200, seed=seed),
+                                          lexicon=lexicon, stats=fresh))
+            assert fresh.total == 1000
+            assert fresh.duplicate_rate == 1 - len(set(batches[-1])) / 1000
+        assert len(set(batches[0]) | set(batches[1])) == 501
+        generate_batch(trees, None, cfg(count=200, seed=1), lexicon=lexicon, stats=stats)
+        counted = stats.to_dict()
+        with pytest.raises(ValueError, match="one batch"):
+            generate_batch(trees, None, cfg(count=200, seed=2), lexicon=lexicon, stats=stats)
+        assert stats.to_dict() == counted
+
     def test_missing_training_size_is_an_error(self, tiny_dataset):
         trees = build(tiny_dataset)
         extra = East("orphan", order(fixed({"hi": 1})))
