@@ -216,40 +216,75 @@ def parse_conll(text: str) -> list[AnnotatedSentence]:
     """Parse column-format text into validated sentences.
 
     Raises CorpusParseError for malformed lines and CorpusValidationError
-    for illegal IOB transitions.
+    for illegal IOB transitions. A header names the intent of the sentence
+    right below it; one followed by a blank line is ignored, and one after a
+    token line or another header is a CorpusParseError.
     """
+    lines = text.splitlines()
     sentences: list[AnnotatedSentence] = []
     tokens: list[str] = []
     tags: list[str] = []
     intent: str | None = None
+    plain: set[str] = {"O"}  # valid O and B- tags seen so far
+    begins: dict[str, str] = {}  # valid I- tags seen so far -> their B- tag
 
     def flush():
-        nonlocal intent
-        if tokens:
-            sentence = AnnotatedSentence(tuple(tokens), tuple(tags), intent)
+        sentence = AnnotatedSentence(tuple(tokens), tuple(tags), intent)
+        if not _tags_valid(sentence.slots, plain, begins) or (
+            intent is not None and not is_intent(intent)
+        ):
             _check_sentence(sentence, len(sentences))
-            sentences.append(sentence)
-            tokens.clear()
-            tags.clear()
-            intent = None
+        sentences.append(sentence)
+        tokens.clear()
+        tags.clear()
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            flush()
-            continue
-        if stripped.startswith(INTENT_HEADER):
-            intent = stripped[len(INTENT_HEADER):].strip()
-            continue
-        fields = stripped.split()
-        if len(fields) != 2:
+    # str.split fields are non-empty and free of whitespace: each passes is_token
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
+            if tokens:
+                flush()
+            intent = None
+        elif fields[0] == "#" and (line := lines[lineno - 1].strip()).startswith(
+            INTENT_HEADER
+        ):
+            if tokens or intent is not None:
+                where = "a token line" if tokens else "another intent header"
+                raise CorpusParseError(f"intent header after {where}", lineno)
+            intent = line[len(INTENT_HEADER):].strip()
+        elif len(fields) != 2:
             raise CorpusParseError(
-                f"expected 'token tag', got {len(fields)} fields: {stripped!r}", lineno
+                f"expected 'token tag', got {len(fields)} fields: "
+                f"{lines[lineno - 1].strip()!r}",
+                lineno,
             )
-        tokens.append(fields[0])
-        tags.append(fields[1])
-    flush()
+        else:
+            tokens.append(fields[0])
+            tags.append(fields[1])
+    if tokens:
+        flush()
     return sentences
+
+
+def _tags_valid(tags: tuple[str, ...], plain: set[str], begins: dict[str, str]) -> bool:
+    """Whether iob_violations(tags) is empty; judges each tag once per pair of
+    `plain` and `begins`, which it extends."""
+    distinct = set(tags)
+    if distinct <= plain:
+        return True
+    for tag in distinct.difference(plain, begins):
+        label = tag[2:]
+        if tag[:2] == "B-" and is_token(label):
+            plain.add(tag)
+        elif tag[:2] == "I-" and is_token(label):
+            begins[tag] = "B-" + label
+        else:
+            return False
+    prev = "O"
+    for tag in tags:  # an I- tag continues its own or its B- tag
+        if tag in begins and prev != tag and prev != begins[tag]:
+            return False
+        prev = tag
+    return True
 
 
 def parse_records(text: str) -> list[AnnotatedSentence]:
@@ -297,31 +332,55 @@ def abstract_entities(
     Returns the template and the extracted (label, surface form) pairs in
     reading order; multi-token spans yield space-joined surface forms.
     """
-    segments: list[Segment] = []
     pairs: list[tuple[str, str]] = []
-    span_label: str | None = None
-    span_tokens: list[str] = []
+    parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
+    return SentenceTemplate(_segments(parts, {}, {})), pairs
 
-    def close_span():
-        nonlocal span_label
-        if span_label is not None:
-            segments.append(Placeholder(span_label))
-            pairs.append((span_label, " ".join(span_tokens)))
-            span_label = None
-            span_tokens.clear()
 
-    for token, tag in zip(sentence.tokens, sentence.slots):
+def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str]:
+    """The span walk of abstract_entities. Appends the (label, surface) pairs
+    to `pairs` and returns the template as plain strings: "O" and the text
+    for a literal, the B- tag for a placeholder."""
+    parts: list[str] = []
+    label = None
+    span: list[str] = []
+    for token, tag in zip(tokens, slots):
+        if tag != "O" and tag[:2] != "B-":  # I- continuation, validated upstream
+            span.append(token)
+            continue
+        if label is not None:
+            pairs.append((label, " ".join(span)))
+            label, span = None, []
         if tag == "O":
-            close_span()
-            segments.append(Literal(token))
-        elif tag.startswith("B-"):
-            close_span()
-            span_label = tag[2:]
-            span_tokens.append(token)
-        else:  # I- continuation, validated upstream
-            span_tokens.append(token)
-    close_span()
-    return SentenceTemplate(tuple(segments)), pairs
+            parts.append("O")
+            parts.append(token)
+        else:
+            label = tag[2:]
+            parts.append(tag)
+            span.append(token)
+    if label is not None:
+        pairs.append((label, " ".join(span)))
+    return parts
+
+
+def _segments(
+    parts, literals: dict[str, Literal], placeholders: dict[str, Placeholder]
+) -> tuple[Segment, ...]:
+    """Segments of a template from _walk_spans; the dicts hold the Literal
+    and Placeholder made so far, by text and by tag, for reuse."""
+    segments: list[Segment] = []
+    texts = iter(parts)
+    for part in texts:
+        if part == "O":
+            text = next(texts)
+            if text not in literals:
+                literals[text] = Literal(text)
+            segments.append(literals[text])
+        else:
+            if part not in placeholders:
+                placeholders[part] = Placeholder(part[2:])
+            segments.append(placeholders[part])
+    return tuple(segments)
 
 
 def reinsert_entities(
@@ -354,8 +413,8 @@ def build_dataset(
     if not sentences:
         raise EmptyDatasetError("empty dataset")
 
-    lexicon = EntityLexicon()
-    by_intent: dict[str, dict[tuple[Segment, ...], int]] = {}
+    pairs: list[tuple[str, str]] = []
+    by_intent: dict[str, dict[tuple[str, ...], int]] = {}
     for index, sentence in enumerate(sentences):
         intent = sentence.intent if sentence.intent is not None else synthetic_intent
         if intent is None:
@@ -364,15 +423,19 @@ def build_dataset(
                 index,
                 0,
             )
-        template, pairs = abstract_entities(sentence)
+        key = tuple(_walk_spans(sentence.tokens, sentence.slots, pairs))
         group = by_intent.setdefault(intent, {})
-        group[template.segments] = group.get(template.segments, 0) + 1
-        for label, surface in pairs:
-            lexicon.add(label, surface)
+        group[key] = group.get(key, 0) + 1
 
+    lexicon = EntityLexicon()
+    for (label, surface), count in Counter(pairs).items():  # first-seen order
+        lexicon.add(label, surface, count)
+    literals: dict[str, Literal] = {}
+    placeholders: dict[str, Placeholder] = {}
     grouped = {
         intent: [
-            SentenceTemplate(segments, count) for segments, count in templates.items()
+            SentenceTemplate(_segments(key, literals, placeholders), count)
+            for key, count in templates.items()
         ]
         for intent, templates in by_intent.items()
     }

@@ -19,15 +19,22 @@ except ImportError:
     import sre_parse
 
 from eastgen import (
+    AnnotatedSentence,
+    Dataset,
     East,
     EntityLexicon,
+    Literal,
+    Placeholder,
+    SentenceTemplate,
     entity,
     exchangeable,
     fixed,
     order,
     pick_one,
 )
+from eastgen.corpus import INTENT_HEADER, _check_sentence
 from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
+from eastgen.errors import CorpusParseError, CorpusValidationError, EmptyDatasetError
 
 # --- brute-force nearest neighbors (pure python, no numpy) ------------------
 
@@ -347,3 +354,110 @@ def random_tree_with_budget(
         if structural_path_count(tree, with_dropout=allow_dropout) <= max_paths:
             return tree
         attempt += 10_000
+
+
+# --- reference corpus ingestion (one step per line, segment and pair) ---------
+
+
+def parse_conll_per_line(text: str) -> list[AnnotatedSentence]:
+    """The reference column-format parser: strips, matches and splits each
+    line anew and checks every sentence in full with _check_sentence."""
+    sentences: list[AnnotatedSentence] = []
+    tokens: list[str] = []
+    tags: list[str] = []
+    intent: str | None = None
+
+    def flush():
+        nonlocal intent
+        if tokens:
+            sentence = AnnotatedSentence(tuple(tokens), tuple(tags), intent)
+            _check_sentence(sentence, len(sentences))
+            sentences.append(sentence)
+            tokens.clear()
+            tags.clear()
+        intent = None  # a blank line drops a header no token line followed
+
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped:
+            flush()
+            continue
+        if stripped.startswith(INTENT_HEADER):
+            if tokens:
+                raise CorpusParseError("intent header after a token line", lineno)
+            if intent is not None:
+                raise CorpusParseError("intent header after another intent header", lineno)
+            intent = stripped[len(INTENT_HEADER):].strip()
+            continue
+        fields = stripped.split()
+        if len(fields) != 2:
+            raise CorpusParseError(
+                f"expected 'token tag', got {len(fields)} fields: {stripped!r}", lineno
+            )
+        tokens.append(fields[0])
+        tags.append(fields[1])
+    flush()
+    return sentences
+
+
+def abstract_entities_per_token(
+    sentence: AnnotatedSentence,
+) -> tuple[SentenceTemplate, list[tuple[str, str]]]:
+    """The reference span walk: a new segment per token and span."""
+    segments = []
+    pairs: list[tuple[str, str]] = []
+    span_label: str | None = None
+    span_tokens: list[str] = []
+
+    def close_span():
+        nonlocal span_label
+        if span_label is not None:
+            segments.append(Placeholder(span_label))
+            pairs.append((span_label, " ".join(span_tokens)))
+            span_label = None
+            span_tokens.clear()
+
+    for token, tag in zip(sentence.tokens, sentence.slots):
+        if tag == "O":
+            close_span()
+            segments.append(Literal(token))
+        elif tag.startswith("B-"):
+            close_span()
+            span_label = tag[2:]
+            span_tokens.append(token)
+        else:  # I- continuation, validated upstream
+            span_tokens.append(token)
+    close_span()
+    return SentenceTemplate(tuple(segments)), pairs
+
+
+def build_dataset_per_segment(sentences, synthetic_intent: str | None = None) -> Dataset:
+    """The reference grouping: templates keyed on their segments, each
+    (label, surface) pair added to the lexicon on its own."""
+    sentences = list(sentences)
+    if not sentences:
+        raise EmptyDatasetError("empty dataset")
+
+    lexicon = EntityLexicon()
+    by_intent: dict[str, dict[tuple, int]] = {}
+    for index, sentence in enumerate(sentences):
+        intent = sentence.intent if sentence.intent is not None else synthetic_intent
+        if intent is None:
+            raise CorpusValidationError(
+                "sentence has no intent and no synthetic intent was supplied",
+                index,
+                0,
+            )
+        template, pairs = abstract_entities_per_token(sentence)
+        group = by_intent.setdefault(intent, {})
+        group[template.segments] = group.get(template.segments, 0) + 1
+        for label, surface in pairs:
+            lexicon.add(label, surface)
+
+    grouped = {
+        intent: [
+            SentenceTemplate(segments, count) for segments, count in templates.items()
+        ]
+        for intent, templates in by_intent.items()
+    }
+    return Dataset(sentences=sentences, by_intent=grouped, lexicon=lexicon)

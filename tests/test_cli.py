@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
@@ -942,3 +946,99 @@ class TestTextRule:
         assert main(["build", str(corpus), "--format", "records", "--out", str(trees)]) == 1
         assert "malformed slot tag 'B-city name'" in capsys.readouterr().err
         assert not trees.exists()
+
+
+# --- fuzzing: any bytes in, exit 0 or 1 out, never a traceback ------------------
+
+_CORPUS_LINES = st.sampled_from([
+    "# intent: a", "# intent: b c", "# intent:", "#intent:a", "x O", "y\tB-city",
+    "z I-city", "w I-x", "é\tO", "a b c", "", " ", "\t",
+    '{"tokens": ["a"], "slots": ["O"], "intent": "x"}',
+    '{"tokens": ["a", "b"], "slots": ["B-c", "I-c"]}',
+    '{"tokens": ["a"], "slots": ["B-c"], "intent": "../x"}',
+    '{"tokens": [], "slots": []}', '{"tokens": ["a b"], "slots": ["O"], "intent": "x"}',
+    '{"tokens": ["a"], "slots": ["O"], "intent": 1}', '{"tokens": 1}', "[1]", "null",
+    '{"tokens": ["a"], "slots": ["O"], "x": 1}', "[" * 3000,
+])
+_NODE_KINDS = st.sampled_from(["order", "pickone", "exchangeable", "fixed", "entity", "x"])
+_NUMBERS = st.one_of(
+    st.integers(-2, 2), st.floats(allow_nan=True), st.just(10**400), st.text(max_size=2)
+)
+_NODES = st.recursive(
+    st.fixed_dictionaries(
+        {"kind": _NODE_KINDS},
+        optional={"dictionary": st.dictionaries(st.text(max_size=6), _NUMBERS, max_size=3),
+                  "slot": st.one_of(st.text(max_size=4), st.integers()),
+                  "weight": _NUMBERS, "dropout": _NUMBERS},
+    ),
+    lambda children: st.fixed_dictionaries(
+        {"kind": _NODE_KINDS, "children": st.lists(children, max_size=3)},
+        optional={"weight": _NUMBERS, "dropout": _NUMBERS},
+    ),
+    max_leaves=8,
+)
+_TREE_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"root": _NODES}, optional={"intent": st.one_of(st.text(max_size=5), st.none())}
+    ),
+    st.just({"intent": "a", "root": {"kind": "order", "children": [
+        {"kind": "fixed", "dictionary": {"hi there": 2}},
+        {"kind": "entity", "slot": "city"}], "dropout": 0.5}}),
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@st.composite
+def spliced(draw, documents):
+    """A document's bytes with, sometimes, a few arbitrary bytes put in
+    (invalid UTF-8 among them) or arbitrary bytes instead."""
+    data = draw(st.one_of(documents, st.binary(max_size=200)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x00", b"\xc3"])) + data[at:]
+    return data
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FUZZ = settings(
+    max_examples=80, deadline=None,
+    # each example writes into a directory of its own under tmp_path
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestFuzz:
+    @FUZZ
+    @given(
+        spliced(st.lists(_CORPUS_LINES, max_size=12).map(lambda ls: "\n".join(ls).encode())),
+        st.sampled_from(["conll", "records"]),
+        st.sampled_from([[], ["--synthetic-intent", "ALL"]]),
+    )
+    def test_build_on_any_bytes(self, tmp_path, data, fmt, extra):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        corpus = work / "corpus"
+        corpus.write_bytes(data)
+        argv = ["build", str(corpus), "--format", fmt, "--out", str(work / "trees"), *extra]
+        code, out, err = run_main(argv)
+        assert code in (0, 1)
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert err.startswith("error:")
+
+    @FUZZ
+    @given(spliced(_TREE_DOCS))
+    def test_validate_on_any_tree_bytes(self, tmp_path, data):
+        """Violations of a tree that parses are a report on standard output
+        (see TestValidate); anything else exits 1 with an error line."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "t.east.json").write_bytes(data)
+        code, out, err = run_main(["validate", "--trees", str(work)])
+        assert code in (0, 1)
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert err.startswith("error:") or (not err and out.endswith("violation(s)\n"))

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
@@ -19,9 +19,20 @@ from eastgen.corpus import (
     is_token,
     reinsert_entities,
 )
-from eastgen.errors import CorpusParseError, CorpusValidationError, EmptyDatasetError
+from eastgen import corpus
+from eastgen.errors import (
+    CorpusParseError,
+    CorpusValidationError,
+    EastgenError,
+    EmptyDatasetError,
+)
 
 from conftest import WEATHER_CONLL
+from helpers import (
+    abstract_entities_per_token,
+    build_dataset_per_segment,
+    parse_conll_per_line,
+)
 
 
 class TestParseConll:
@@ -60,6 +71,61 @@ class TestParseConll:
     def test_malformed_tag_rejected(self):
         with pytest.raises(CorpusValidationError):
             parse_conll("a\tLOC\n")
+
+    def test_field_count_error_comes_before_the_sentence_check(self):
+        with pytest.raises(CorpusParseError) as err:
+            parse_conll("a\tLOC\nb c d\n")
+        assert err.value.line == 2
+
+    def test_hash_token_and_headers_without_the_space(self):
+        assert parse_conll("#\tO\n")[0].tokens == ("#",)
+        assert parse_conll("# intent:x\na O\n")[0].intent == "x"
+        with pytest.raises(CorpusParseError, match="got 1 fields"):
+            parse_conll("#intent:x\na O\n")
+
+    def test_each_distinct_tag_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return is_token(text)
+
+        monkeypatch.setattr(corpus, "is_token", counting)
+        text = "".join(f"a O\nb B-x\nc I-x\nd B-y\n\n" for _ in range(50))
+        assert len(parse_conll(text)) == 50
+        assert sorted(calls) == ["x", "x", "y"]  # B-x, I-x, B-y
+
+
+class TestIntentHeader:
+    """A header names the intent of the sentence right below it."""
+
+    def test_header_after_a_token_line_rejected(self):
+        with pytest.raises(CorpusParseError, match="after a token line") as err:
+            parse_conll("a O\n# intent: x\nb O\n")
+        assert err.value.line == 2
+
+    def test_header_after_a_header_rejected(self):
+        with pytest.raises(CorpusParseError, match="after another intent header") as err:
+            parse_conll("# intent: a\n# intent: b\nx O\n")
+        assert err.value.line == 2
+
+    def test_blank_line_drops_a_pending_header(self):
+        assert parse_conll("# intent: a\n\nx O\n") == [
+            AnnotatedSentence(("x",), ("O",), None)
+        ]
+
+    @pytest.mark.parametrize(
+        "text", ["# intent: a\n\n# intent: b\nx O\n", "# intent:\n \n# intent: b\nx O"]
+    )
+    def test_header_before_a_blank_line_is_ignored(self, text):
+        assert parse_conll(text) == [AnnotatedSentence(("x",), ("O",), "b")]
+
+    def test_header_at_the_end_is_ignored(self):
+        assert parse_conll("x O\n\n# intent: a\n") == [AnnotatedSentence(("x",), ("O",))]
+
+    def test_empty_intent_of_a_sentence_rejected(self):
+        with pytest.raises(CorpusValidationError, match="malformed intent"):
+            parse_conll("# intent:\nx O\n")
 
 
 class TestParseRecords:
@@ -298,3 +364,79 @@ def test_build_dataset_permutation_insensitive(sentences, rng):
 @given(annotated_sentences())
 def test_iob_violations_empty_for_valid(sentence):
     assert iob_violations(sentence.slots) == []
+
+
+# --- the parser and grouping against their per-line references ----------------
+
+_TOKENS = st.sampled_from(["a", "b", "#", "é"])
+_SEPARATORS = st.sampled_from(["\t", " ", "  ", "\u00a0"])
+_BLANKS = st.sampled_from(["", "", " ", "\t", "\x1f"])
+_HEADERS = st.sampled_from(
+    ["# intent: r1", "# intent: r2", "# intent:", "# intent: a  b", "#intent:x",
+     "# intent:x", "  # intent: r1 ", "#  intent: r1"]
+)
+_ANY_LINES = st.one_of(  # any of them can break a sentence
+    st.builds(
+        "{}{}{}{}".format, _TOKENS, _SEPARATORS,
+        st.sampled_from(["O", "B-x", "I-x", "B-", "I-y", "b-x"]),
+        st.sampled_from(["", "\tO", " B-x"]),
+    ),
+    st.sampled_from(["a", "B-x", "a O O", " a\tO ", "# O"]),
+    _BLANKS,
+    _HEADERS,
+)
+
+
+@st.composite
+def conll_texts(draw):
+    """Sentences (an optional header, token lines with sound IOB tags, blank
+    lines), then up to two lines of any kind put anywhere; each line ends in
+    a line break of its own."""
+    lines: list[str] = []
+    for _ in range(draw(st.integers(0, 6))):
+        lines += draw(st.lists(_HEADERS, max_size=1))
+        label = None
+        for _ in range(draw(st.integers(0, 5))):
+            tag = draw(st.sampled_from(["O", "B-x", "B-y"] + [f"I-{label}"] * 2 * bool(label)))
+            label = tag[2:] or None
+            lines.append(draw(_TOKENS) + draw(_SEPARATORS) + tag)
+        lines += draw(st.lists(_BLANKS, min_size=1, max_size=2))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ANY_LINES))
+    breaks = st.sampled_from(["\n", "\n", "\n", "\r\n", "\x0c", "\u2028"])
+    return "".join(line + draw(breaks) for line in lines)
+
+
+def outcome(function, *args):
+    """What a call gives: ("ok", result) or ("raised", class, message)."""
+    try:
+        return "ok", function(*args)
+    except EastgenError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def dataset_in_order(dataset):
+    return (
+        dataset.sentences,
+        [(intent, [(t.segments, t.source_count) for t in templates])
+         for intent, templates in dataset.by_intent.items()],
+        [(label, list(forms.items())) for label, forms in dataset.lexicon.entries.items()],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(conll_texts(), st.sampled_from([None, "ALL"]))
+def test_ingestion_matches_the_per_line_reference(text, synthetic_intent):
+    parsed = outcome(parse_conll, text)
+    assert parsed == outcome(parse_conll_per_line, text)
+    if parsed[0] != "ok":
+        return
+    sentences = parsed[1]
+    for sentence in sentences:
+        assert abstract_entities(sentence) == abstract_entities_per_token(sentence)
+    built = outcome(build_dataset, sentences, synthetic_intent)
+    expected = outcome(build_dataset_per_segment, sentences, synthetic_intent)
+    if built[0] == "ok" and expected[0] == "ok":
+        assert dataset_in_order(built[1]) == dataset_in_order(expected[1])
+    else:
+        assert built == expected
