@@ -133,9 +133,13 @@ def _read_text(path: str | Path) -> str:
 
 
 def _read_corpus(path: str, fmt: str, synthetic_intent: str | None) -> Dataset:
-    text = _read_text(path)
-    sentences = parse_conll(text) if fmt == "conll" else parse_records(text)
-    return build_dataset(sentences, synthetic_intent=synthetic_intent)
+    """Parse the corpus at `path`; every error names the path once."""
+    text = _read_text(path)  # a UTF-8 error names the path itself
+    try:
+        sentences = parse_conll(text) if fmt == "conll" else parse_records(text)
+        return build_dataset(sentences, synthetic_intent=synthetic_intent)
+    except EastgenError as exc:
+        raise EastgenError(f"{path}: {exc}") from exc
 
 
 def _write_per_intent(
@@ -144,7 +148,8 @@ def _write_per_intent(
     """Write each (intent, text) as it is drawn to `out`/<name><suffix>.
 
     The name is the intent reduced to file-safe characters, with _2, _3, ...
-    appended when an earlier intent took it. Files with `suffix` that the
+    appended when an earlier intent took it in any case (a case-insensitive
+    file system stores `A` and `a` as one file). Files with `suffix` that the
     previous manifest in `out` lists and this run did not write are removed,
     so an intent dropped since the last run leaves no stale file; a file no
     manifest lists is never touched. Returns the written paths.
@@ -155,9 +160,9 @@ def _write_per_intent(
     for intent, text in docs:
         base = name = re.sub(r"[^A-Za-z0-9._-]+", "_", intent).strip("_") or "intent"
         counter = 2
-        while name in used:
+        while name.casefold() in used:
             name, counter = f"{base}_{counter}", counter + 1
-        used.add(name)
+        used.add(name.casefold())
         paths.append(out / f"{name}{suffix}")
         with _atomic_write(paths[-1]) as handle:
             handle.write(text)
@@ -314,11 +319,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
         for file in _tree_files(args.trees):
             try:
                 tree = deserialize(_read_text(file))
-            except EastgenError as exc:
+            except (TreeSchemaError, TreeValidationError) as exc:
                 faults = exc.violations if isinstance(exc, TreeValidationError) else [exc]
                 for fault in faults:
                     print(f"{file.name}: {fault}")
                 problems += len(faults)
+                continue
+            except EastgenError as exc:  # not UTF-8: the message names the path
+                print(exc)
+                problems += 1
                 continue
             if tree.intent in seen_intents:
                 print(f"{file.name}: duplicate tree for intent {tree.intent!r}")
@@ -327,8 +336,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         try:
             _read_corpus(args.corpus, args.format, synthetic_intent="ALL")
-        except EastgenError as exc:
-            print(f"{args.corpus}: {exc}")
+        except EastgenError as exc:  # the message names the path
+            print(exc)
             problems += 1
 
     if problems:

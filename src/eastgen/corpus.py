@@ -330,22 +330,29 @@ def abstract_entities(
     """Replace each maximal entity span with a placeholder for its label.
 
     Returns the template and the extracted (label, surface form) pairs in
-    reading order; multi-token spans yield space-joined surface forms.
+    reading order; multi-token spans yield space-joined surface forms. An
+    I- tag that continues no span of its label, or a tag that is neither
+    "O" nor B- nor I-, is a CorpusValidationError for sentence 0.
     """
     pairs: list[tuple[str, str]] = []
     parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
+    if parts is None:
+        _check_sentence(sentence, 0)
     return SentenceTemplate(_segments(parts, {}, {})), pairs
 
 
-def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str]:
+def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str] | None:
     """The span walk of abstract_entities. Appends the (label, surface) pairs
     to `pairs` and returns the template as plain strings: "O" and the text
-    for a literal, the B- tag for a placeholder."""
+    for a literal, the B- tag for a placeholder; or None at a tag that is
+    not "O", a B- tag or an I- tag of the open span."""
     parts: list[str] = []
     label = None
     span: list[str] = []
     for token, tag in zip(tokens, slots):
-        if tag != "O" and tag[:2] != "B-":  # I- continuation, validated upstream
+        if tag != "O" and tag[:2] != "B-":  # I- continuation
+            if tag[2:] != label or tag[:2] != "I-":
+                return None
             span.append(token)
             continue
         if label is not None:
@@ -407,7 +414,8 @@ def build_dataset(
 
     Identical templates within an intent merge with their source counts
     summed. Sentences without an intent take `synthetic_intent` (for
-    NER-style corpora); if none is supplied they are an error.
+    NER-style corpora); if none is supplied they are an error, as is a tag
+    that abstract_entities rejects.
     """
     sentences = list(sentences)
     if not sentences:
@@ -423,7 +431,10 @@ def build_dataset(
                 index,
                 0,
             )
-        key = tuple(_walk_spans(sentence.tokens, sentence.slots, pairs))
+        parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
+        if parts is None:
+            _check_sentence(sentence, index)
+        key = tuple(parts)
         group = by_intent.setdefault(intent, {})
         group[key] = group.get(key, 0) + 1
 

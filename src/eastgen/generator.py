@@ -28,7 +28,10 @@ smaller batch barely wins back), the process may run on more than one CPU,
 and no second thread is running (a fork copies no thread, but may copy a
 lock one holds). With embeddings, sampling stays serial: kNN pools are
 built lazily, every process would build its own, and the extra queries
-cost more than the split saves.
+cost more than the split saves. Forking is only a fast path: on any
+failure of it the whole batch is sampled again in this process, the one
+path that returns the results or raises (at the first failing intent in
+sorted order).
 
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
 only Random.random() is consumed, so byte-identical output for a given
@@ -311,45 +314,44 @@ def _shares(counts: dict[str, int], fills: _Fills) -> list[list[str]]:
     return [sorted(share) for share in shares]
 
 
-def _sample_forked(shares: list[list[str]], trees: dict[str, East],
-                   counts: dict[str, int], fills: _Fills) -> dict:
-    """Sample the first share here and every other share in a forked child,
-    which sends its results back pickled through a pipe. A share whose child
-    cannot start, fails or sends short data is sampled here instead, so any
-    error is raised here; of several, the first failing intent's is raised.
+def _sample(intents: Iterable[str], trees: dict[str, East], counts: dict[str, int],
+            fills: _Fills) -> dict:
+    """Sample each of `intents` in turn, keyed by intent (see _sample_intent)."""
+    return {i: _sample_intent(i, trees[i], counts[i], fills) for i in intents}
+
+
+def _sample_forked(trees: dict[str, East], counts: dict[str, int],
+                   fills: _Fills) -> dict | None:
+    """Sample the first of `_shares` here and every other share in a forked
+    child, which sends its results back pickled through a pipe. A fast path
+    that raises no error of its own: it returns None when there are fewer
+    than two shares, a pipe or child cannot be made, a child fails or sends
+    anything but its share's results, or this process's share raises.
     """
+    shares = _shares(counts, fills)
+    if len(shares) < 2:
+        return None
     import pickle
 
-    results: dict = {}
-    errors: list[tuple[str, Exception]] = []
-
-    def sample(share: list[str]) -> None:
-        for intent in share:
-            try:
-                results[intent] = _sample_intent(intent, trees[intent], counts[intent], fills)
-            except Exception as error:
-                errors.append((intent, error))
-                return
-
     children: dict[int, tuple] = {}  # pid -> (read end of its pipe, share)
-    rerun: list[list[str]] = []
     try:
         for share in shares[1:]:
-            read, write = os.pipe()
+            try:
+                read, write = os.pipe()
+            except OSError:
+                return None
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read)
                 os.close(write)
-                rerun.append(share)
-                continue
+                return None
             if pid == 0:
                 code = 1
                 try:
                     os.close(read)
-                    data = pickle.dumps(
-                        {i: _sample_intent(i, trees[i], counts[i], fills) for i in share},
-                        pickle.HIGHEST_PROTOCOL)
+                    data = pickle.dumps(_sample(share, trees, counts, fills),
+                                        pickle.HIGHEST_PROTOCOL)
                     with open(write, "wb") as pipe:
                         pipe.write(data)
                     code = 0
@@ -357,7 +359,10 @@ def _sample_forked(shares: list[list[str]], trees: dict[str, East],
                     os._exit(code)
             os.close(write)
             children[pid] = (open(read, "rb"), share)
-        sample(shares[0])
+        try:
+            results = _sample(shares[0], trees, counts, fills)
+        except Exception:
+            return None
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -365,22 +370,17 @@ def _sample_forked(shares: list[list[str]], trees: dict[str, East],
             del children[pid]
             try:
                 sent = pickle.loads(data) if status == 0 else None
-            except (pickle.UnpicklingError, EOFError):  # short data
-                sent = None
+            except Exception:  # short data
+                return None
             del data
-            if sent is not None and sorted(sent) == share:
-                results.update(sent)
-            else:
-                rerun.append(share)
-        for share in rerun:
-            sample(share)
+            if not isinstance(sent, dict) or sorted(sent) != share:
+                return None
+            results.update(sent)
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if errors:
-        raise min(errors, key=lambda failure: failure[0])[1]
     return results
 
 
@@ -421,11 +421,9 @@ def generate_batch(
             missing = intent
             break
     fills = _Fills(lexicon, table, config)
-    shares = _shares(counts, fills)
-    if len(shares) > 1:
-        results = _sample_forked(shares, trees, counts, fills)
-    else:
-        results = {i: _sample_intent(i, trees[i], n, fills) for i, n in counts.items()}
+    results = _sample_forked(trees, counts, fills)
+    if results is None:  # any failure samples again here, which returns or raises
+        results = _sample(counts, trees, counts, fills)
     if missing is not None:
         raise MissingTrainingSizeError(missing)
 

@@ -73,6 +73,15 @@ class TestBuild:
         assert code == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_parse_error_names_the_corpus_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("one two three four\n")
+        assert main(["build", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 1: expected 'token tag', got 4 fields: "
+            "'one two three four'\n"
+        )
+
 
 class TestGenerate:
     def run(self, built, out, *extra):
@@ -268,6 +277,16 @@ class TestNonUtf8Input:
         assert code == 1
         assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (line 4001)\n"
         assert not (tmp_path / "out.conll").exists()
+
+    @pytest.mark.parametrize("target, name", [("--corpus", "latin.conll"),
+                                              ("--trees", "latin.east.json")])
+    def test_validate_names_the_file_once(self, tmp_path, capsys, target, name):
+        bad = tmp_path / name
+        bad.write_bytes(b"caf\xe9\tO\n")
+        assert main(["validate", target, str(bad)]) == 1
+        assert capsys.readouterr().out == (
+            f"{bad}: not UTF-8 text (line 1)\n1 violation(s)\n"
+        )
 
     def test_whole_file_reads_name_the_line(self, tmp_path, capsys):
         bad = tmp_path / "latin1.conll"
@@ -796,6 +815,20 @@ class TestTreeFiles:
         ]) == 0
         assert (bundles / "a_b.regex.txt").read_text().startswith("# intent: a b\n")
         assert (bundles / "a_b_2.regex.txt").read_text().startswith("# intent: a_b\n")
+
+    def test_per_intent_file_names_differ_by_more_than_case(self, tmp_path):
+        # a case-insensitive file system would store Greet and greet as one file
+        corpus = tmp_path / "cases.conll"
+        corpus.write_text("# intent: Greet\nhi\tO\n\n# intent: greet\nyo\tO\n")
+        trees = tmp_path / "trees"
+        assert main(["build", str(corpus), "--out", str(trees)]) == 0
+        manifest = json.loads((trees / "manifest.json").read_text())
+        names = sorted(name for name in manifest["outputs"] if name.endswith(".east.json"))
+        assert names == ["Greet.east.json", "greet_2.east.json"]
+        assert len({name.casefold() for name in names}) == 2
+        assert {deserialize((trees / name).read_text()).intent for name in names} == {
+            "Greet", "greet"
+        }
 
 
 class TestStaleOutputs:

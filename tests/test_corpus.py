@@ -276,6 +276,22 @@ class TestBuildDataset:
         with pytest.raises(CorpusValidationError):
             build_dataset([AnnotatedSentence(("hi",), ("O",))])
 
+    @pytest.mark.parametrize("sentence, message", [
+        # once read as the template "b <y>" and the lexicon form y: "a c"
+        (AnnotatedSentence(("a", "b", "c"), ("I-x", "O", "B-y"), "i"),
+         "token 0: I-x does not continue a x span"),
+        # once read as the template "a", dropping the token "b"
+        (AnnotatedSentence(("a", "b"), ("O", "X"), "i"), "token 1: malformed slot tag 'X'"),
+    ], ids=["stray-inside-tag", "not-a-tag"])
+    def test_tags_a_corpus_could_not_hold_are_rejected(self, sentence, message):
+        with pytest.raises(CorpusValidationError) as err:
+            abstract_entities(sentence)
+        assert str(err.value) == f"sentence 0, {message}"
+        fine = AnnotatedSentence(("hi",), ("O",), "i")
+        with pytest.raises(CorpusValidationError) as err:
+            build_dataset([fine, sentence])
+        assert str(err.value) == f"sentence 1, {message}"
+
     def test_synthetic_intent_for_ner_corpus(self):
         # five hand-tagged sentences; expected templates written out by hand
         text = "\n\n".join(

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -411,6 +412,45 @@ class TestForkedBatch:
             monkeypatch.setattr(pickle, "dumps", truncated)
         assert self.batch(count=300) == serial
         assert len(children) == (0 if fault == "no fork" else 2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("call, error", [
+        ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("pipe", OSError(errno.EMFILE, "Too many open files")),
+    ], ids=["fork", "pipe"])
+    def test_a_call_refused_after_a_child_started(self, force_split, monkeypatch,
+                                                  call, error):
+        serial = self.batch(count=300)
+        children = force_split()
+        real = getattr(os, call)  # for "fork", force_split's, which records each child
+        calls = []
+
+        def second_refused():
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise error
+            return real()
+
+        monkeypatch.setattr(os, call, second_refused)
+        assert self.batch(count=300) == serial
+        assert len(calls) == 2
+        assert len(children) == 1
+        assert_no_child_left()
+
+    def test_a_child_sending_other_results_is_not_trusted(self, force_split, monkeypatch):
+        serial = self.batch(count=300)
+        children = force_split()
+        parent = os.getpid()
+        dumps = pickle.dumps
+
+        def misfiled(results, *args):
+            if os.getpid() != parent:
+                results = list(results)  # the share's intents, but not a dict
+            return dumps(results, *args)
+
+        monkeypatch.setattr(pickle, "dumps", misfiled)
+        assert self.batch(count=300) == serial
+        assert len(children) == 2
         assert_no_child_left()
 
     def test_children_are_killed_when_this_process_raises(self, force_split, monkeypatch):
