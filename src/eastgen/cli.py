@@ -251,6 +251,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     else:
         lexicon = parse_lexicon(_read_text(args.lexicon))
     _check_lexicon_coverage(trees, lexicon)
+    if dataset is None and args.count is None:
+        raise EastgenError("--count is required when only a lexicon is given")
 
     table = None
     if not args.no_embeddings:
@@ -261,8 +263,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         except EmbeddingFormatError as exc:
             raise EastgenError(f"{args.embeddings}: {exc}") from exc
 
-    if dataset is None and args.count is None:
-        raise EastgenError("--count is required when only a lexicon is given")
     config = GenerationConfig(
         seed=args.seed,
         k=args.k,

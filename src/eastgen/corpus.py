@@ -197,6 +197,14 @@ def iob_violations(slots: Iterable[str]) -> list[tuple[int, str]]:
     return violations
 
 
+def _valid_tags(tags: tuple[str, ...], judged: dict[tuple[str, ...], bool]) -> bool:
+    """Whether iob_violations(tags) is empty, asked once per distinct `tags`."""
+    valid = judged.get(tags)
+    if valid is None:
+        valid = judged[tags] = not iob_violations(tags)
+    return valid
+
+
 def _check_sentence(sentence: AnnotatedSentence, index: int) -> None:
     if not sentence.tokens:
         raise CorpusValidationError("sentence has no tokens", index, 0)
@@ -225,12 +233,11 @@ def parse_conll(text: str) -> list[AnnotatedSentence]:
     tokens: list[str] = []
     tags: list[str] = []
     intent: str | None = None
-    plain: set[str] = {"O"}  # valid O and B- tags seen so far
-    begins: dict[str, str] = {}  # valid I- tags seen so far -> their B- tag
+    judged: dict[tuple[str, ...], bool] = {}
 
     def flush():
         sentence = AnnotatedSentence(tuple(tokens), tuple(tags), intent)
-        if not _tags_valid(sentence.slots, plain, begins) or (
+        if not _valid_tags(sentence.slots, judged) or (
             intent is not None and not is_intent(intent)
         ):
             _check_sentence(sentence, len(sentences))
@@ -263,28 +270,6 @@ def parse_conll(text: str) -> list[AnnotatedSentence]:
     if tokens:
         flush()
     return sentences
-
-
-def _tags_valid(tags: tuple[str, ...], plain: set[str], begins: dict[str, str]) -> bool:
-    """Whether iob_violations(tags) is empty; judges each tag once per pair of
-    `plain` and `begins`, which it extends."""
-    distinct = set(tags)
-    if distinct <= plain:
-        return True
-    for tag in distinct.difference(plain, begins):
-        label = tag[2:]
-        if tag[:2] == "B-" and is_token(label):
-            plain.add(tag)
-        elif tag[:2] == "I-" and is_token(label):
-            begins[tag] = "B-" + label
-        else:
-            return False
-    prev = "O"
-    for tag in tags:  # an I- tag continues its own or its B- tag
-        if tag in begins and prev != tag and prev != begins[tag]:
-            return False
-        prev = tag
-    return True
 
 
 def parse_records(text: str) -> list[AnnotatedSentence]:
@@ -334,25 +319,23 @@ def abstract_entities(
     I- tag that continues no span of its label, or a tag that is neither
     "O" nor B- nor I-, is a CorpusValidationError for sentence 0.
     """
+    if iob_violations(sentence.slots):
+        _check_sentence(sentence, 0)
     pairs: list[tuple[str, str]] = []
     parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
-    if parts is None:
-        _check_sentence(sentence, 0)
     return SentenceTemplate(_segments(parts, {}, {})), pairs
 
 
-def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str] | None:
-    """The span walk of abstract_entities. Appends the (label, surface) pairs
-    to `pairs` and returns the template as plain strings: "O" and the text
-    for a literal, the B- tag for a placeholder; or None at a tag that is
-    not "O", a B- tag or an I- tag of the open span."""
+def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str]:
+    """The span walk of abstract_entities over tags that iob_violations
+    accepts. Appends the (label, surface) pairs to `pairs` and returns the
+    template as plain strings: "O" and the text for a literal, the B- tag
+    for a placeholder."""
     parts: list[str] = []
     label = None
     span: list[str] = []
     for token, tag in zip(tokens, slots):
         if tag != "O" and tag[:2] != "B-":  # I- continuation
-            if tag[2:] != label or tag[:2] != "I-":
-                return None
             span.append(token)
             continue
         if label is not None:
@@ -414,8 +397,8 @@ def build_dataset(
 
     Identical templates within an intent merge with their source counts
     summed. Sentences without an intent take `synthetic_intent` (for
-    NER-style corpora); if none is supplied they are an error, as is a tag
-    that abstract_entities rejects.
+    NER-style corpora); if none is supplied they are an error, as are a tag
+    that abstract_entities rejects and an intent that is_intent rejects.
     """
     sentences = list(sentences)
     if not sentences:
@@ -423,6 +406,7 @@ def build_dataset(
 
     pairs: list[tuple[str, str]] = []
     by_intent: dict[str, dict[tuple[str, ...], int]] = {}
+    judged: dict[tuple[str, ...], bool] = {}
     for index, sentence in enumerate(sentences):
         intent = sentence.intent if sentence.intent is not None else synthetic_intent
         if intent is None:
@@ -431,12 +415,22 @@ def build_dataset(
                 index,
                 0,
             )
-        parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
-        if parts is None:
+        if not _valid_tags(sentence.slots, judged):
             _check_sentence(sentence, index)
-        key = tuple(parts)
+        key = tuple(_walk_spans(sentence.tokens, sentence.slots, pairs))
         group = by_intent.setdefault(intent, {})
         group[key] = group.get(key, 0) + 1
+    for intent in by_intent:
+        if not is_intent(intent):
+            index, sentence = next(
+                (i, s) for i, s in enumerate(sentences)
+                if intent == (synthetic_intent if s.intent is None else s.intent)
+            )
+            if sentence.intent is not None:
+                _check_sentence(sentence, index)
+            raise CorpusValidationError(
+                f"malformed synthetic intent {synthetic_intent!r}", index, 0
+            )
 
     lexicon = EntityLexicon()
     for (label, surface), count in Counter(pairs).items():  # first-seen order

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
@@ -125,6 +125,19 @@ class TestGenerate:
         ])
         assert code == 1
         assert "--count" in capsys.readouterr().err
+
+    def test_count_is_checked_before_the_table_loads(self, built, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("denver 1.0 0.1\nboston 1.0 0.2\n")
+        code = main([
+            "generate", "--trees", str(built),
+            "--lexicon", str(built / "lexicon.json"),
+            "--embeddings", str(vectors), "--seed", "3",
+            "--out", str(tmp_path / "x.conll"),
+        ])
+        assert code == 1
+        assert "--count" in capsys.readouterr().err
+        assert cache_entries() == []  # the table was never parsed
 
     def test_embeddings_required_unless_disabled(self, built, tmp_path, capsys):
         code = main([
@@ -406,6 +419,17 @@ class TestNerFlow:
         code = main(["build", str(ner), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "intent" in capsys.readouterr().err
+
+    def test_malformed_synthetic_intent_is_a_corpus_error(self, tmp_path, capsys):
+        ner = tmp_path / "c.conll"
+        ner.write_text("a O\nb B-x\n")
+        out = tmp_path / "trees"
+        code = main(["build", str(ner), "--synthetic-intent", " x", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {ner}: sentence 0, token 0: malformed synthetic intent ' x'\n"
+        )
+        assert not out.exists()
 
 
 class TestEmbeddingsFlow:
@@ -1038,6 +1062,9 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+_SOUND_TREE = json.dumps({"intent": "a", "root": {
+    "kind": "order", "children": [{"kind": "entity", "slot": "city"}], "dropout": 0.5,
+}}).encode()
 FUZZ = settings(
     max_examples=80, deadline=None,
     # each example writes into a directory of its own under tmp_path
@@ -1075,3 +1102,41 @@ class TestFuzz:
         assert "Traceback" not in out + err
         if code == 1:
             assert err.startswith("error:") or (not err and out.endswith("violation(s)\n"))
+
+    @FUZZ
+    @given(spliced(_TREE_DOCS), st.sampled_from([[], ["--no-dropout"]]))
+    @example(_SOUND_TREE, [])  # seed 1 drops the root: a sentence with no tokens
+    @example(_SOUND_TREE, ["--no-dropout"])  # every command exits 0
+    def test_tree_commands_on_any_tree_bytes(self, tmp_path, data, dropout):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "t.east.json").write_bytes(data)
+        lexicon = work / "lexicon.json"
+        lexicon.write_text('{"city": {"denver": 1, "new york": 2}}')
+        for argv in (
+            ["generate", "--trees", str(work), "--lexicon", str(lexicon),
+             "--no-embeddings", "--seed", "1", "--count", "3",
+             "--out", str(work / "aug.conll"), *dropout],
+            ["export-regex", "--trees", str(work), "--lexicon", str(lexicon),
+             "--out", str(work / "regex")],
+            ["stats", "--trees", str(work)],
+        ):
+            code, out, err = run_main(argv)
+            assert code in (0, 1)
+            assert "Traceback" not in out + err
+            if code == 1:
+                assert err.startswith("error:")
+
+    @FUZZ
+    @given(
+        spliced(st.lists(_CORPUS_LINES, max_size=12).map(lambda ls: "\n".join(ls).encode())),
+        st.sampled_from(["conll", "records"]),
+    )
+    def test_corpus_stats_on_any_bytes(self, tmp_path, data, fmt):
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        corpus = work / "corpus"
+        corpus.write_bytes(data)
+        code, out, err = run_main(["stats", "--corpus", str(corpus), "--format", fmt])
+        assert code in (0, 1)
+        assert "Traceback" not in out + err
+        if code == 1:
+            assert err.startswith("error:")

@@ -282,7 +282,10 @@ class TestBuildDataset:
          "token 0: I-x does not continue a x span"),
         # once read as the template "a", dropping the token "b"
         (AnnotatedSentence(("a", "b"), ("O", "X"), "i"), "token 1: malformed slot tag 'X'"),
-    ], ids=["stray-inside-tag", "not-a-tag"])
+        # once read as the lexicon {"": {"x": 1}} and {"": {"x y": 1}}
+        (AnnotatedSentence(("x", "y"), ("B-", "O"), "i"), "token 0: malformed slot tag 'B-'"),
+        (AnnotatedSentence(("x", "y"), ("B-", "I-"), "i"), "token 0: malformed slot tag 'B-'"),
+    ], ids=["stray-inside-tag", "not-a-tag", "empty-label", "empty-label-span"])
     def test_tags_a_corpus_could_not_hold_are_rejected(self, sentence, message):
         with pytest.raises(CorpusValidationError) as err:
             abstract_entities(sentence)
@@ -291,6 +294,18 @@ class TestBuildDataset:
         with pytest.raises(CorpusValidationError) as err:
             build_dataset([fine, sentence])
         assert str(err.value) == f"sentence 1, {message}"
+
+    @pytest.mark.parametrize("intent, synthetic_intent, message", [
+        ("a\nb", None, "malformed intent 'a\\nb'"),
+        (None, " x", "malformed synthetic intent ' x'"),
+    ], ids=["own", "synthetic"])
+    def test_malformed_intent_rejected(self, intent, synthetic_intent, message):
+        """Once accepted here, to fail later as a tree root's error."""
+        sentences = [AnnotatedSentence(("hi",), ("O",), "i"),
+                     AnnotatedSentence(("x",), ("O",), intent)]
+        with pytest.raises(CorpusValidationError) as err:
+            build_dataset(sentences, synthetic_intent)
+        assert str(err.value) == f"sentence 1, token 0: {message}"
 
     def test_synthetic_intent_for_ner_corpus(self):
         # five hand-tagged sentences; expected templates written out by hand
@@ -456,3 +471,33 @@ def test_ingestion_matches_the_per_line_reference(text, synthetic_intent):
         assert dataset_in_order(built[1]) == dataset_in_order(expected[1])
     else:
         assert built == expected
+
+
+_ANY_TAGS = st.sampled_from(["O", "B-x", "I-x", "B-y", "I-y", "B-", "I-", "B-a b", "X"])
+_SENTENCES_WITH_ANY_TAGS = st.integers(1, 5).flatmap(lambda n: st.builds(
+    AnnotatedSentence,
+    st.tuples(*[st.sampled_from(["a", "b", "é"])] * n),
+    st.tuples(*[_ANY_TAGS] * n),
+    st.just("i"),
+))
+
+
+@given(st.lists(_SENTENCES_WITH_ANY_TAGS, min_size=1, max_size=4))
+def test_code_built_sentences_meet_the_one_iob_rule(sentences):
+    """abstract_entities and build_dataset accept exactly the tags that
+    iob_violations accepts, and reject the others with the message of
+    parsing."""
+    for sentence in sentences:
+        if iob_violations(sentence.slots):
+            assert outcome(abstract_entities, sentence) == outcome(
+                corpus._check_sentence, sentence, 0
+            )
+        else:
+            assert outcome(abstract_entities, sentence)[0] == "ok"
+    bad = next((i for i, s in enumerate(sentences) if iob_violations(s.slots)), None)
+    if bad is None:
+        assert outcome(build_dataset, sentences)[0] == "ok"
+    else:
+        assert outcome(build_dataset, sentences) == outcome(
+            corpus._check_sentence, sentences[bad], bad
+        )
