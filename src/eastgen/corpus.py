@@ -197,14 +197,6 @@ def iob_violations(slots: Iterable[str]) -> list[tuple[int, str]]:
     return violations
 
 
-def _valid_tags(tags: tuple[str, ...], judged: dict[tuple[str, ...], bool]) -> bool:
-    """Whether iob_violations(tags) is empty, asked once per distinct `tags`."""
-    valid = judged.get(tags)
-    if valid is None:
-        valid = judged[tags] = not iob_violations(tags)
-    return valid
-
-
 def _check_sentence(sentence: AnnotatedSentence, index: int) -> None:
     if not sentence.tokens:
         raise CorpusValidationError("sentence has no tokens", index, 0)
@@ -233,13 +225,15 @@ def parse_conll(text: str) -> list[AnnotatedSentence]:
     tokens: list[str] = []
     tags: list[str] = []
     intent: str | None = None
-    judged: dict[tuple[str, ...], bool] = {}
+    valid_tags: set[tuple[str, ...]] = set()  # iob_violations is asked once each
 
     def flush():
         sentence = AnnotatedSentence(tuple(tokens), tuple(tags), intent)
-        if not _valid_tags(sentence.slots, judged) or (
-            intent is not None and not is_intent(intent)
-        ):
+        if sentence.slots not in valid_tags:
+            if iob_violations(sentence.slots):
+                _check_sentence(sentence, len(sentences))
+            valid_tags.add(sentence.slots)
+        if intent is not None and not is_intent(intent):
             _check_sentence(sentence, len(sentences))
         sentences.append(sentence)
         tokens.clear()
@@ -315,11 +309,12 @@ def abstract_entities(
     """Replace each maximal entity span with a placeholder for its label.
 
     Returns the template and the extracted (label, surface form) pairs in
-    reading order; multi-token spans yield space-joined surface forms. An
-    I- tag that continues no span of its label, or a tag that is neither
-    "O" nor B- nor I-, is a CorpusValidationError for sentence 0.
+    reading order; multi-token spans yield space-joined surface forms. A tag
+    that iob_violations rejects, or a token that is_token rejects, is the
+    CorpusValidationError parsing gives for sentence 0; a sentence with no
+    tokens gives the empty template.
     """
-    if iob_violations(sentence.slots):
+    if iob_violations(sentence.slots) or not all(map(is_token, sentence.tokens)):
         _check_sentence(sentence, 0)
     pairs: list[tuple[str, str]] = []
     parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
@@ -397,8 +392,9 @@ def build_dataset(
 
     Identical templates within an intent merge with their source counts
     summed. Sentences without an intent take `synthetic_intent` (for
-    NER-style corpora); if none is supplied they are an error, as are a tag
-    that abstract_entities rejects and an intent that is_intent rejects.
+    NER-style corpora); if none is supplied they are an error. A sentence
+    that parse_records would reject, or a malformed synthetic intent, is the
+    CorpusValidationError of the first sentence at fault.
     """
     sentences = list(sentences)
     if not sentences:
@@ -406,7 +402,9 @@ def build_dataset(
 
     pairs: list[tuple[str, str]] = []
     by_intent: dict[str, dict[tuple[str, ...], int]] = {}
-    judged: dict[tuple[str, ...], bool] = {}
+    # of the sentences _check_sentence passed; one holding anything unseen is asked
+    passed_tags: set[tuple[str, ...]] = set()
+    passed_tokens: set[str] = set()
     for index, sentence in enumerate(sentences):
         intent = sentence.intent if sentence.intent is not None else synthetic_intent
         if intent is None:
@@ -415,22 +413,20 @@ def build_dataset(
                 index,
                 0,
             )
-        if not _valid_tags(sentence.slots, judged):
+        if sentence.slots not in passed_tags or not passed_tokens.issuperset(sentence.tokens):
             _check_sentence(sentence, index)
+            passed_tags.add(sentence.slots)
+            passed_tokens.update(sentence.tokens)
         key = tuple(_walk_spans(sentence.tokens, sentence.slots, pairs))
-        group = by_intent.setdefault(intent, {})
+        group = by_intent.get(intent)
+        if group is None:
+            if not is_intent(intent):
+                _check_sentence(sentence, index)  # raises for an intent of its own
+                raise CorpusValidationError(
+                    f"malformed synthetic intent {synthetic_intent!r}", index, 0
+                )
+            group = by_intent[intent] = {}
         group[key] = group.get(key, 0) + 1
-    for intent in by_intent:
-        if not is_intent(intent):
-            index, sentence = next(
-                (i, s) for i, s in enumerate(sentences)
-                if intent == (synthetic_intent if s.intent is None else s.intent)
-            )
-            if sentence.intent is not None:
-                _check_sentence(sentence, index)
-            raise CorpusValidationError(
-                f"malformed synthetic intent {synthetic_intent!r}", index, 0
-            )
 
     lexicon = EntityLexicon()
     for (label, surface), count in Counter(pairs).items():  # first-seen order

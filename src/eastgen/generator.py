@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .corpus import AnnotatedSentence, Dataset, EntityLexicon
+from .corpus import INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .embeddings import EmbeddingTable, k_nearest_block
 from .errors import MissingLexiconError, MissingTrainingSizeError
@@ -447,7 +447,7 @@ def generate_batch(
 
 
 def _render_conll(s: GeneratedSentence | AnnotatedSentence) -> str:
-    head = f"# intent: {s.intent}\n" if s.intent is not None else ""
+    head = f"{INTENT_HEADER} {s.intent}\n" if s.intent is not None else ""
     lines = [f"{token}\t{tag}\n" for token, tag in zip(s.tokens, s.slots)]
     return head + "".join(lines) + "\n"
 

@@ -71,28 +71,30 @@ def cache_home(tmp_path_factory, monkeypatch):
     return home
 
 
+def split_over_three_cpus(monkeypatch) -> list[int]:
+    """Make `generate_batch` split any table-free batch over three CPUs,
+    whatever the host has, for as long as `monkeypatch` holds; returns the
+    list that collects the pid of every child the batch forks."""
+    forked: list[int] = []
+    fork = os.fork
+
+    def counted_fork() -> int:
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(generator, "PARALLEL_MIN_DRAWS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
 @pytest.fixture
 def force_split(monkeypatch):
-    """Call it to make `generate_batch` split any table-free batch over three
-    CPUs, whatever the host has; it returns the list that collects the pid
-    of every child the batch forks."""
-
-    def split() -> list[int]:
-        forked: list[int] = []
-        fork = os.fork
-
-        def counted_fork() -> int:
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(generator, "PARALLEL_MIN_DRAWS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forked
-
-    return split
+    """Call it to split batches as split_over_three_cpus does until the test
+    ends; it returns the list of forked pids."""
+    return lambda: split_over_three_cpus(monkeypatch)
 
 
 def cache_entries() -> list[str]:

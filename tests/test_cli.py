@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,22 +8,34 @@ import tempfile
 import threading
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
+    East,
     abstract_entities,
     deserialize,
+    entity,
     enumerate_language,
+    exchangeable,
+    fixed,
+    order,
     parse_conll,
     parse_records,
+    pick_one,
+    serialize,
 )
 from eastgen.cli import main
+from eastgen.east import (
+    ENTITY, EXCHANGEABLE, FIXED, MAX_EXCHANGEABLE, ORDER, PICKONE, ROOT_KINDS,
+)
+from eastgen.regex_export import load_bundle, match
 
-from conftest import AIRLINE_CONLL, cache_entries
+from conftest import AIRLINE_CONLL, cache_entries, split_over_three_cpus
 
 
 @pytest.fixture
@@ -1045,13 +1058,107 @@ _TREE_DOCS = st.one_of(
 
 
 @st.composite
-def spliced(draw, documents):
-    """A document's bytes with, sometimes, a few arbitrary bytes put in
-    (invalid UTF-8 among them) or arbitrary bytes instead."""
-    data = draw(st.one_of(documents, st.binary(max_size=200)))
+def with_a_byte_put_in(draw, data: bytes) -> bytes:
+    """`data` with, sometimes, one odd byte (invalid UTF-8 among them) put in."""
     if draw(st.booleans()):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x00", b"\xc3"])) + data[at:]
+    return data
+
+
+@st.composite
+def spliced(draw, documents):
+    """A document's bytes with, sometimes, a few arbitrary bytes put in
+    (invalid UTF-8 among them) or arbitrary bytes instead."""
+    return draw(with_a_byte_put_in(draw(st.one_of(documents, st.binary(max_size=200)))))
+
+
+# sound trees, drawn from the east constructors, so that most examples get
+# as far as sampling and lowering
+_DROPOUTS = st.sampled_from([None, 0.0, 0.5, 0.9])
+_SOUND_LEAVES = st.one_of(
+    st.builds(fixed, st.dictionaries(st.sampled_from(["hi", "hi there", "to", "é"]),
+                                     st.integers(1, 3), min_size=1, max_size=2),
+              dropout=_DROPOUTS),
+    st.builds(entity, st.sampled_from(["city", "day"])),
+)
+_FUZZ_LEXICON = '{"city": {"denver": 1, "new york": 2}, "day": {"today": 1}}'
+_MAX_PATHS = 1000
+
+
+@st.composite
+def sound_nodes(draw, depth: int, kinds=(ORDER, PICKONE, EXCHANGEABLE)):
+    """A valid subtree at most `depth` control levels deep whose root is a
+    leaf or one of `kinds`; pick-one weights sum to 1."""
+    if kinds != ROOT_KINDS and (depth == 0 or draw(st.booleans())):
+        return draw(_SOUND_LEAVES)
+    kind = draw(st.sampled_from(kinds))
+    most = MAX_EXCHANGEABLE if kind == EXCHANGEABLE else 3
+    children = draw(st.lists(sound_nodes(depth - 1), min_size=1, max_size=most))
+    dropout = draw(_DROPOUTS)
+    if kind == PICKONE:
+        shares = draw(st.lists(st.integers(1, 3), min_size=len(children),
+                               max_size=len(children)))
+        children = [replace(c, weight=k / sum(shares)) for c, k in zip(children, shares)]
+        return pick_one(*children, dropout=dropout)
+    return (order if kind == ORDER else exchangeable)(*children, dropout=dropout)
+
+
+def paths(node) -> int:
+    """How many traversals of `node` there are, absences by dropout included."""
+    if node.kind == FIXED:
+        n = len(node.dictionary)
+    elif node.kind == ENTITY:
+        n = 1
+    elif node.kind == PICKONE:
+        n = sum(map(paths, node.children))
+    else:
+        n = math.prod(map(paths, node.children))
+        if node.kind == EXCHANGEABLE:
+            n *= math.factorial(len(node.children))
+    return n + bool(node.dropout)
+
+
+_SOUND_ROOTS = sound_nodes(3, ROOT_KINDS).filter(lambda root: paths(root) <= _MAX_PATHS)
+
+
+def value_paths(doc, path=()):
+    """The key and index path of every value inside a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from value_paths(value, path + (key,))
+
+
+# no value raises the traversal count of a tree more than twofold (a dropout
+# doubles it at most), so the language of any tree that loads stays small
+_ODD_VALUES = st.sampled_from([
+    0, -1, 0.5, 2, 10**400, float("nan"), "", "a b", "a\tb", " x", "x\ny", "b", None, True,
+    [], {}, "pickone", "fixed", "entity", "gap",
+    {"kind": "order", "children": [{"kind": "entity", "slot": "city"}], "extra": 1},
+    {"kind": "order", "children": [{"kind": "order", "children": [{"kind": "entity",
+                                                                  "slot": "day"}]}]},
+])
+
+
+@st.composite
+def sound_tree_documents(draw) -> list[bytes]:
+    """The documents of one to three sound trees of distinct intents (no more
+    than _MAX_PATHS traversals each); in half the draws one JSON value of one
+    of them is replaced, in the other half a byte may be put into one."""
+    intents = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    docs = [json.loads(serialize(East(intent, draw(_SOUND_ROOTS)))) for intent in intents]
+    data = [json.dumps(doc).encode() for doc in docs]
+    which = draw(st.integers(0, len(docs) - 1))
+    if draw(st.booleans()):
+        *parents, key = draw(st.sampled_from(list(value_paths(docs[which]))))
+        target = docs[which]
+        for step in parents:
+            target = target[step]
+        target[key] = draw(_ODD_VALUES)
+        data[which] = json.dumps(docs[which]).encode()
+    else:
+        data[which] = draw(with_a_byte_put_in(data[which]))
     return data
 
 
@@ -1125,6 +1232,62 @@ class TestFuzz:
             assert "Traceback" not in out + err
             if code == 1:
                 assert err.startswith("error:")
+
+    @FUZZ
+    @given(sound_tree_documents(), st.sampled_from([[], ["--no-dropout"]]),
+           st.sampled_from(["conll", "records"]))
+    def test_sound_trees_end_to_end(self, tmp_path, docs, dropout, fmt):
+        """Commands on (mostly) sound trees exit 0 or 1 as on any bytes; what
+        generate writes re-parses, stays in each tree's language, matches its
+        exported bundle, and is the same whether or not the batch is split
+        over forked processes."""
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        trees = work / "trees"
+        trees.mkdir()
+        for i, data in enumerate(docs):
+            (trees / f"t{i}.east.json").write_bytes(data)
+        lexicon = work / "lexicon.json"
+        lexicon.write_text(_FUZZ_LEXICON)
+
+        def generate(out: Path) -> tuple[int, str, str]:
+            return run_main(["generate", "--trees", str(trees), "--lexicon", str(lexicon),
+                             "--no-embeddings", "--seed", "1", "--count", "12",
+                             "--format", fmt, "--out", str(out), *dropout])
+
+        serial = generate(work / "serial" / "aug")
+        with pytest.MonkeyPatch.context() as patch:  # for this example only
+            forked = split_over_three_cpus(patch)
+            split = generate(work / "split" / "aug")
+        exported = run_main(["export-regex", "--trees", str(trees), "--lexicon", str(lexicon),
+                             "--out", str(work / "regex")])
+        for code, out, err in (serial, split, exported, run_main(["stats", "--trees", str(trees)])):
+            assert code in (0, 1)
+            assert "Traceback" not in out + err
+            if code == 1:
+                assert err.startswith("error:")
+        code, _, err = serial
+        event("reached sampling" if code == 0 or "with no tokens" in err else "stopped before")
+        assert (split[0], split[2]) == (code, err)
+        if code != 0:
+            return
+        for name in ("aug", "aug.stats.json"):
+            assert (work / "split" / name).read_bytes() == (work / "serial" / name).read_bytes()
+
+        text = (work / "serial" / "aug").read_text(encoding="utf-8")
+        sentences = (parse_conll if fmt == "conll" else parse_records)(text)
+        assert sentences
+        languages = {tree.intent: enumerate_language(tree, include_dropout_variants=True)
+                     for tree in (deserialize(path.read_text(encoding="utf-8"))
+                                  for path in trees.iterdir())}
+        assert len(forked) == min(len(languages), 3) - 1  # one share stays here
+        for sentence in sentences:
+            assert abstract_entities(sentence)[0] in languages[sentence.intent]
+        assert exported[0] == 0
+        bundles = {bundle.intent: bundle for bundle in (
+            load_bundle(path.read_text(encoding="utf-8"))
+            for path in (work / "regex").glob("*.regex.txt"))}
+        for sentence in sentences:
+            assert match(bundles[sentence.intent], sentence.tokens) is not None
 
     @FUZZ
     @given(

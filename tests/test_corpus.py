@@ -7,6 +7,7 @@ from eastgen import (
     AnnotatedSentence,
     Literal,
     Placeholder,
+    SentenceTemplate,
     abstract_entities,
     build_dataset,
     parse_conll,
@@ -285,7 +286,15 @@ class TestBuildDataset:
         # once read as the lexicon {"": {"x": 1}} and {"": {"x y": 1}}
         (AnnotatedSentence(("x", "y"), ("B-", "O"), "i"), "token 0: malformed slot tag 'B-'"),
         (AnnotatedSentence(("x", "y"), ("B-", "I-"), "i"), "token 0: malformed slot tag 'B-'"),
-    ], ids=["stray-inside-tag", "not-a-tag", "empty-label", "empty-label-span"])
+        # once a phrase that emits two tokens, and the lexicon form x: ''
+        (AnnotatedSentence(("a b",), ("O",), "i"),
+         "token 0: empty or whitespace-containing token 'a b'"),
+        (AnnotatedSentence(("",), ("B-x",), "i"),
+         "token 0: empty or whitespace-containing token ''"),
+        (AnnotatedSentence(("a\tb",), ("O",), "i"),
+         "token 0: empty or whitespace-containing token 'a\\tb'"),
+    ], ids=["stray-inside-tag", "not-a-tag", "empty-label", "empty-label-span",
+            "spaced-token", "empty-token", "tabbed-token"])
     def test_tags_a_corpus_could_not_hold_are_rejected(self, sentence, message):
         with pytest.raises(CorpusValidationError) as err:
             abstract_entities(sentence)
@@ -294,6 +303,16 @@ class TestBuildDataset:
         with pytest.raises(CorpusValidationError) as err:
             build_dataset([fine, sentence])
         assert str(err.value) == f"sentence 1, {message}"
+
+    def test_a_sentence_with_no_tokens_is_rejected_but_abstracts(self):
+        """Once accepted here, to fail later as `root: control node has no
+        children`; abstracting it alone still gives the empty template."""
+        empty = AnnotatedSentence((), (), "i")
+        fine = AnnotatedSentence(("hi",), ("O",), "i")
+        with pytest.raises(CorpusValidationError) as err:
+            build_dataset([fine, empty])
+        assert str(err.value) == "sentence 1, token 0: sentence has no tokens"
+        assert abstract_entities(empty) == (SentenceTemplate(()), [])
 
     @pytest.mark.parametrize("intent, synthetic_intent, message", [
         ("a\nb", None, "malformed intent 'a\\nb'"),
@@ -501,3 +520,31 @@ def test_code_built_sentences_meet_the_one_iob_rule(sentences):
         assert outcome(build_dataset, sentences) == outcome(
             corpus._check_sentence, sentences[bad], bad
         )
+
+
+_SENTENCES_WITH_ANY_TOKENS = st.integers(0, 3).flatmap(lambda n: st.builds(
+    AnnotatedSentence,
+    st.tuples(*[st.sampled_from(["a", "é", "", "a b", "a\tb"])] * n),
+    st.tuples(*[_ANY_TAGS] * n),
+    st.sampled_from(["i", "j", "a\nb", None]),
+))
+
+
+@given(st.lists(_SENTENCES_WITH_ANY_TOKENS, min_size=1, max_size=4))
+def test_code_built_sentences_meet_the_parser_rules(sentences):
+    """build_dataset gives a list of sentences what parsing their records
+    lines and building on the result gives: the same dataset or the same
+    error. The synthetic intent is sound: without one, a sentence with no
+    intent is an error of build_dataset's own, reported ahead of the others."""
+    text = "".join(
+        json.dumps({"tokens": list(s.tokens), "slots": list(s.slots)}
+                   | ({} if s.intent is None else {"intent": s.intent})) + "\n"
+        for s in sentences
+    )
+    parsed = outcome(parse_records, text)
+    expected = outcome(build_dataset, parsed[1], "ALL") if parsed[0] == "ok" else parsed
+    built = outcome(build_dataset, sentences, "ALL")
+    if built[0] == "ok" and expected[0] == "ok":
+        assert dataset_in_order(built[1]) == dataset_in_order(expected[1])
+    else:
+        assert built == expected

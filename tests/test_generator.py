@@ -623,6 +623,17 @@ class TestEmit:
         separators = len(out)
         assert len(lines) == tokens + headers + separators
 
+    def test_a_sentence_with_no_tokens_is_a_header_and_a_blank_line(self):
+        """parse_conll drops it, header and all; perfbench's induce corpus
+        relies on this to drop the empty sentences its random trees draw."""
+        sentences = [GeneratedSentence(("a",), ("O",), "x", ()),
+                     GeneratedSentence((), (), "y", ()),
+                     GeneratedSentence(("b",), ("B-c",), "z", ())]
+        text = "".join(emitted(sentences, "conll"))
+        assert text == "# intent: x\na\tO\n\n# intent: y\n\n# intent: z\nb\tB-c\n\n"
+        assert [(s.tokens, s.intent) for s in parse_conll(text)] == [
+            (("a",), "x"), (("b",), "z")]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit([], io.StringIO(), "xml")
