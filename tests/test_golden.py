@@ -10,7 +10,10 @@ changed; only a change that declares new output may update these values.
 
 A second case pins `eastgen build` and `export-regex` on a corpus sampled
 from the same trees, so refactors of the builder and the regex exporter
-are held to the same promise.
+are held to the same promise. Further cases pin the same commands on that
+corpus with other builder options, and `build` alone on a corpus sampled
+from random trees, whose exchangeable and pick-one nodes draw entity
+orders the hand-written trees do not.
 
 The `no-embeddings` case and the build case run once more with the batch
 split over forked processes, which their small counts never trigger on
@@ -33,7 +36,7 @@ from eastgen import (
 from eastgen.cli import main
 from eastgen.east import ENTITY, EXCHANGEABLE, ORDER, PICKONE
 
-from helpers import ground_truth_world
+from helpers import ground_truth_world, random_tree, small_lexicon
 
 COUNT = 300
 SEED = 20221104
@@ -202,24 +205,30 @@ BUILD_GOLDEN = {
 }
 
 
-def _region_slots(node) -> set[str]:
-    """Entity slots held by the regions of a tree built by `eastgen build`.
+# extra `build` arguments -> sha256 over every build and export-regex output
+# of the same corpus (see _outputs_digest)
+# of the same corpus (see _outputs_digest). Its slot shares are 1, 0.51
+# (hotel's month) and 0.25 (x's B): 0.2 makes B main, 0.65 drops month, and
+# 0.35 would write the default's bytes
+BUILD_OPTION_GOLDEN = {
+    "threshold-0.2": (
+        ["--threshold", "0.2"],
+        "f68f48b66f55457c8a77d339de7a02f74eabddfee65f44a0411c686ebcc0a175",
+    ),
+    "threshold-0.65": (
+        ["--threshold", "0.65"],
+        "6f8d1289bdc77f689578a0d6554a1fdaccd4487f51d0f8decf7453b2241612c4",
+    ),
+    "singleton-main": (
+        ["--singleton-main"],
+        "54c6ddfe98847c1816558c9e8c2561cd5041dacdb8e1c0a8372a05f6bbee9707",
+    ),
+}
 
-    The root is one alignment (an order) or a pick-one of alignments; an
-    alignment's regions are its children that are neither entity leaves
-    nor exchangeable pairs of them.
-    """
-    alignments = [node] if node.kind == ORDER else node.children
-    slots: set[str] = set()
-    stack = [
-        c for a in alignments for c in a.children if c.kind not in (ENTITY, EXCHANGEABLE)
-    ]
-    while stack:
-        n = stack.pop()
-        if n.kind == ENTITY:
-            slots.add(n.slot)
-        stack.extend(n.children)
-    return slots
+RANDOM_TREES = 8
+RANDOM_COUNT = 40  # per tree
+# sha256 over every `build` output of the random-tree corpus
+RANDOM_BUILD_GOLDEN = "667d2c9e0a78458d30cae03318f8e412e19c235a409cf33956044d36e81e9aea"
 
 
 def test_build_and_export_regex_digests_are_pinned(tmp_path):
@@ -233,21 +242,100 @@ def test_build_and_export_regex_digests_hold_when_forked(tmp_path, force_split):
     assert len(children) == 2
 
 
-def _check_build_and_export_regex_digests(tmp_path):
+@pytest.mark.parametrize("case", sorted(BUILD_OPTION_GOLDEN))
+def test_build_options_digests_are_pinned(case, tmp_path):
+    extra, digest = BUILD_OPTION_GOLDEN[case]
+    _build_and_export(tmp_path, _sampled_corpus(tmp_path), extra)
+    assert _outputs_digest(tmp_path) == digest
+
+
+def test_build_digest_on_random_trees_is_pinned(tmp_path):
+    trees = {
+        f"r{i}": random_tree(3000 + i, max_depth=4, intent=f"r{i}")
+        for i in range(RANDOM_TREES)
+    }
+    config = GenerationConfig(seed=BUILD_SEED, count=RANDOM_COUNT, use_embeddings=False)
+    corpus = tmp_path / "corpus.conll"
+    with open(corpus, "w", encoding="utf-8") as handle:
+        emit(generate_batch(trees, None, config, lexicon=small_lexicon()), handle, "conll")
+    built = tmp_path / "trees"
+    assert main(["build", str(corpus), "--out", str(built)]) == 0
+
+    # the corpus exercises planned swaps and root pick-ones
+    induced = [
+        deserialize(p.read_text(encoding="utf-8")) for p in built.glob("*.east.json")
+    ]
+    assert any(
+        c.kind == EXCHANGEABLE for t in induced for c in _alignments(t.root)[0].children
+    )
+    assert any(t.root.kind == PICKONE for t in induced)
+    assert _outputs_digest(tmp_path) == RANDOM_BUILD_GOLDEN
+
+
+def _sampled_corpus(tmp_path):
+    """The ground-truth trees' sampled corpus plus NON_MAIN_CORPUS, as conll."""
     trees, lexicon = ground_truth_world()
     config = GenerationConfig(seed=BUILD_SEED, count=BUILD_COUNT, use_embeddings=False)
     corpus = tmp_path / "corpus.conll"
     with open(corpus, "w", encoding="utf-8") as handle:
         emit(generate_batch(trees, None, config, lexicon=lexicon) + NON_MAIN_CORPUS,
              handle, "conll")
+    return corpus
+
+
+def _build_and_export(tmp_path, corpus, extra):
     built, exported = tmp_path / "trees", tmp_path / "regex"
-    assert main(["build", str(corpus), "--out", str(built)]) == 0
+    assert main(["build", str(corpus), "--out", str(built), *extra]) == 0
     assert main([
         "export-regex",
         "--trees", str(built),
         "--lexicon", str(built / "lexicon.json"),
         "--out", str(exported),
     ]) == 0
+
+
+def _written(tmp_path) -> list[str]:
+    """The output files under tmp_path's subdirectories, relative, sorted."""
+    return sorted(
+        str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*")
+        if p.name != "manifest.json"  # it names the temporary input paths
+    )
+
+
+def _outputs_digest(tmp_path) -> str:
+    """sha256 over one `<relative path> <sha256>` line per output file."""
+    lines = "".join(f"{name} {_sha256(tmp_path / name)}\n" for name in _written(tmp_path))
+    return hashlib.sha256(lines.encode("utf-8")).hexdigest()
+
+
+def _alignments(root):
+    """The alignments of a tree built by `eastgen build`: the root is one
+    alignment (an order) or a pick-one of alignments, the spine first."""
+    return [root] if root.kind == ORDER else list(root.children)
+
+
+def _region_slots(node) -> set[str]:
+    """Entity slots held by the regions of a tree built by `eastgen build`.
+
+    An alignment's regions are its children that are neither entity leaves
+    nor exchangeable pairs of them.
+    """
+    slots: set[str] = set()
+    stack = [
+        c for a in _alignments(node) for c in a.children
+        if c.kind not in (ENTITY, EXCHANGEABLE)
+    ]
+    while stack:
+        n = stack.pop()
+        if n.kind == ENTITY:
+            slots.add(n.slot)
+        stack.extend(n.children)
+    return slots
+
+
+def _check_build_and_export_regex_digests(tmp_path):
+    _build_and_export(tmp_path, _sampled_corpus(tmp_path), [])
+    built = tmp_path / "trees"
 
     # the corpus exercises a planned spine swap, a root pick-one over two
     # arrangements and a region that holds a non-main entity
@@ -261,9 +349,6 @@ def _check_build_and_export_regex_digests(tmp_path):
     assert induced["hotel.east.json"].root.kind == PICKONE
     assert _region_slots(induced["x.east.json"].root) == {"B"}
 
-    written = sorted(
-        str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*")
-        if p.name != "manifest.json"  # it names the temporary input paths
-    )
+    written = _written(tmp_path)
     assert written == sorted(BUILD_GOLDEN)
     assert {name: _sha256(tmp_path / name) for name in written} == BUILD_GOLDEN
