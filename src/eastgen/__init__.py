@@ -11,9 +11,6 @@ from .builder import (
     detect_exchangeable,
     determine_main_entities,
     entity_occurrence,
-    finalize_weights,
-    grow,
-    skeleton,
 )
 from .corpus import (
     AnnotatedSentence,
@@ -85,11 +82,9 @@ __all__ = [
     "exchangeable",
     "expand_templates",
     "export_regex",
-    "finalize_weights",
     "fixed",
     "generate_batch",
     "generate_one",
-    "grow",
     "k_nearest",
     "load_embeddings",
     "match",
@@ -99,6 +94,5 @@ __all__ = [
     "parse_records",
     "pick_one",
     "serialize",
-    "skeleton",
     "validate",
 ]

@@ -1,21 +1,25 @@
 """Automatic tree construction from a parsed dataset.
 
 Per intent the pipeline is: measure entity occurrence, pick the main
-entities, lay out a spine of entity leaves (the most common main-entity
-arrangement), merge every template's literal runs into the regions between
-spine entities, then derive weights and dropout from the retained counts
-and wrap reversible adjacent entity pairs in exchangeable nodes.
+entities, then build the tree in one pass over the templates. Each template
+is split and cut at its main entities once; the spine is the most common
+main-entity arrangement; adjacent spine pairs that templates realize in
+both orders are planned as swaps; every template's literal runs merge into
+the regions between spine entities, and the retained counts give the
+weights and dropout. Planned swaps become exchangeable nodes as the spine
+is lowered, and a last pass wraps any other adjacent entity pair realized
+in both orders.
 
 Templates whose main-entity sequence cannot be aligned with the spine
-(even allowing adjacent transpositions that later become exchangeable
-nodes) are kept intact as alternatives under a pick-one at the root.
+(even allowing the planned swaps) are kept intact as alternatives under a
+pick-one at the root.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
@@ -158,45 +162,18 @@ def _greedy_disjoint(positions: Iterable[int]) -> frozenset[int]:
     return frozenset(kept)
 
 
-@dataclass
 class _Alignment:
     """Accumulator for one entity arrangement: counts per region run."""
 
-    labels: tuple[str, ...]
-    regions: list[Counter] = field(default_factory=list)  # len(labels) + 1
-    count: int = 0
-
-    def __post_init__(self):
-        if not self.regions:
-            self.regions = [Counter() for _ in range(len(self.labels) + 1)]
+    def __init__(self, labels: tuple[str, ...]):
+        self.labels = labels
+        self.regions = [Counter() for _ in range(len(labels) + 1)]
+        self.count = 0
 
     def add(self, runs: tuple[Run, ...], count: int) -> None:
         self.count += count
         for region, run in zip(self.regions, runs):
             region[run] += count
-
-
-@dataclass
-class TreeScaffold:
-    """A tree under construction: the spine plan plus retained counts.
-
-    Produced by skeleton(), fed through grow(), and turned into a
-    finished tree by finalize_weights().
-    """
-
-    intent: str
-    main: tuple[str, ...]
-    spine: _Alignment
-    swap_pairs: frozenset[int]
-    branches: dict[tuple[str, ...], _Alignment] = field(default_factory=dict)
-
-    @property
-    def spine_labels(self) -> tuple[str, ...]:
-        return self.spine.labels
-
-    def initial_tree(self) -> East:
-        """The bare spine as a tree: an order root over entity leaves."""
-        return East(self.intent, order(*(entity(l) for l in self.spine.labels)))
 
 
 def _feeds_spine(
@@ -213,8 +190,7 @@ def _feeds_spine(
 
 
 def _plan_swaps(
-    spine: tuple[str, ...],
-    profiles: Sequence[tuple[tuple[str, ...], tuple[Run, ...]]],
+    swapsets: Sequence[frozenset[int] | None], runs: Sequence[tuple[Run, ...]]
 ) -> frozenset[int]:
     """Adjacent spine transpositions that may merge and later become
     exchangeable nodes.
@@ -223,85 +199,36 @@ def _plan_swaps(
     that feed the spine; the loop re-evaluates until stable because
     dropping a pair reclassifies its templates as branches.
     """
-    swapsets = [_swap_decomposition(labels, spine) for labels, _ in profiles]
-    candidates = {p for s in swapsets if s for p in s}
-    accepted = _greedy_disjoint(candidates)
+    accepted = _greedy_disjoint(p for s in swapsets if s for p in s)
     while True:
-        cohort = [
-            i
-            for i, (_, runs) in enumerate(profiles)
-            if _feeds_spine(swapsets[i], runs, accepted)
-        ]
+        cohort = [s for s, r in zip(swapsets, runs) if _feeds_spine(s, r, accepted)]
         stable = frozenset(
             p
             for p in accepted
-            if any(p in swapsets[i] for i in cohort)
-            and any(p not in swapsets[i] for i in cohort)
+            if any(p in s for s in cohort) and any(p not in s for s in cohort)
         )
         if stable == accepted:
             return accepted
         accepted = stable
 
 
-def skeleton(
-    main: Sequence[str], templates: Sequence[SentenceTemplate], intent: str = ""
-) -> TreeScaffold:
-    """Plan the spine: the modal main-entity arrangement over the group.
-
-    Multiplicity-weighted mode; ties resolve to the arrangement of the
-    earliest template.
-    """
-    main_set = frozenset(main)
-    profiles = [_template_profile(_split(t), main_set) for t in templates]
-
-    seq_counts: dict[tuple[str, ...], int] = {}
-    first_seen: dict[tuple[str, ...], int] = {}
-    for i, (template, (labels, _)) in enumerate(zip(templates, profiles)):
-        seq_counts[labels] = seq_counts.get(labels, 0) + template.source_count
-        first_seen.setdefault(labels, i)
-    spine = max(seq_counts, key=lambda s: (seq_counts[s], -first_seen[s]))
-
-    return TreeScaffold(
-        intent=intent,
-        main=tuple(main),
-        spine=_Alignment(spine),
-        swap_pairs=_plan_swaps(spine, profiles),
-    )
-
-
-def grow(scaffold: TreeScaffold, template: SentenceTemplate) -> TreeScaffold:
-    """Merge one template into the scaffold.
-
-    A template whose main-entity sequence equals the spine (possibly via
-    planned transpositions, with nothing between the swapped entities)
-    feeds the spine regions; anything else merges into a root-level
-    branch keyed by its full placeholder sequence.
-    """
-    split = _split(template)
-    labels, runs = _template_profile(split, frozenset(scaffold.main))
-    swaps = _swap_decomposition(labels, scaffold.spine.labels)
-    if _feeds_spine(swaps, runs, scaffold.swap_pairs):
-        scaffold.spine.add(runs, template.source_count)
-        return scaffold
-
-    full, phrases = split
-    branch = scaffold.branches.get(full)
-    if branch is None:
-        branch = scaffold.branches[full] = _Alignment(full)
-    branch.add(tuple(((), (phrase,)) for phrase in phrases), template.source_count)
-    return scaffold
-
-
 def _interleave(
-    labels: tuple[str, ...], fills: Iterable[Node | None], weight: float
+    labels: tuple[str, ...],
+    fills: Iterable[Node | None],
+    weight: float,
+    swaps: frozenset[int] = frozenset(),
 ) -> Node:
     """An order of entity leaves with each fill that is not None in the gap
-    before its leaf; the last fill follows the last leaf."""
+    before its leaf; the last fill follows the last leaf. The leaves at each
+    swap position p and p + 1 become one exchangeable node; the gap between
+    them must be empty."""
     children = []
-    for fill, label in zip_longest(fills, labels):
+    for i, (fill, label) in enumerate(zip_longest(fills, labels)):
         if fill is not None:
             children.append(fill)
-        if label is not None:
+        if i - 1 in swaps:
+            children[-1] = exchangeable(children[-1], entity(label))
+        elif label is not None:
             children.append(entity(label))
     return order(*children, weight=weight)
 
@@ -348,62 +275,59 @@ def _region_node(runs: Counter, sentence_count: int) -> Node | None:
     return pick_one(*children, dropout=dropout)
 
 
-def _alignment_node(alignment: _Alignment, weight: float) -> Node:
+def _alignment_node(
+    alignment: _Alignment, weight: float, swaps: frozenset[int] = frozenset()
+) -> Node:
     regions = (_region_node(r, alignment.count) for r in alignment.regions)
-    return _interleave(alignment.labels, regions, weight)
+    return _interleave(alignment.labels, regions, weight, swaps)
 
 
-def finalize_weights(scaffold: TreeScaffold, total_sentences: int) -> East:
-    """Derive node weights and dropout from the retained counts.
+def _intent_tree(
+    intent: str, main: Sequence[str], templates: Sequence[SentenceTemplate]
+) -> East:
+    """The tree of one intent, before detect_exchangeable.
 
+    The spine is the multiplicity-weighted modal main-entity arrangement,
+    ties going to the earliest template's. A template whose main-entity
+    sequence equals the spine (possibly via planned swaps, with nothing
+    between the swapped entities) feeds the spine regions; anything else
+    merges into a root-level branch keyed by its full placeholder sequence.
     Weights normalize per pick-one sibling set; dropout divides empty-run
-    counts by the alignment's sentence count. Exchangeable wrapping is a
-    separate pass (detect_exchangeable).
+    counts by the alignment's sentence count.
     """
-    alignments: list[_Alignment] = []
-    if scaffold.spine.count:
-        alignments.append(scaffold.spine)
-    alignments.extend(scaffold.branches.values())
-    grown = sum(a.count for a in alignments)
-    if not grown:
-        raise ValueError("nothing grown: no templates merged into this scaffold")
-    if grown != total_sentences:
-        raise ValueError(
-            f"grown sentence count {grown} != stated total {total_sentences}"
-        )
+    main_set = frozenset(main)
+    splits = [_split(t) for t in templates]
+    arrangements, runs = zip(*(_template_profile(split, main_set) for split in splits))
 
-    if len(alignments) == 1:
-        root = _alignment_node(alignments[0], 1.0)
-    else:
-        root = pick_one(
-            *(_alignment_node(a, a.count / grown) for a in alignments)
-        )
-    return East(scaffold.intent, root)
+    seq_counts: dict[tuple[str, ...], int] = {}
+    for template, labels in zip(templates, arrangements):
+        seq_counts[labels] = seq_counts.get(labels, 0) + template.source_count
+    # max keeps the first of equal counts, and dicts keep first-seen order
+    spine = _Alignment(max(seq_counts, key=seq_counts.__getitem__))
+    swapsets = [_swap_decomposition(labels, spine.labels) for labels in arrangements]
+    swaps = _plan_swaps(swapsets, runs)
 
+    branches: dict[tuple[str, ...], _Alignment] = {}
+    for template, (full, phrases), swapset, template_runs in zip(
+        templates, splits, swapsets, runs
+    ):
+        if _feeds_spine(swapset, template_runs, swaps):
+            spine.add(template_runs, template.source_count)
+            continue
+        branch = branches.get(full)
+        if branch is None:
+            branch = branches[full] = _Alignment(full)
+        branch.add(tuple(((), (phrase,)) for phrase in phrases), template.source_count)
 
-def _wrap_planned_swaps(tree: East, scaffold: TreeScaffold) -> East:
-    """Wrap each planned spine swap in an exchangeable node.
-
-    grow() merged the swapped templates into the spine, so the planned pair
-    must be the one wrapped. detect_exchangeable alone wraps the leftmost
-    reversible pair, which loses the swapped order when an entity could
-    pair either way (spine B A B with swap A B).
-    """
-    if not scaffold.swap_pairs:
-        return tree
-    # the spine is the first alignment; its direct entity children are the
-    # spine labels in order, and the region between a swapped pair is empty
-    spine = tree.root if tree.root.kind == ORDER else tree.root.children[0]
-    children = list(spine.children)
-    entities = [i for i, child in enumerate(children) if child.kind == ENTITY]
-    for p in sorted(scaffold.swap_pairs, reverse=True):
-        i = entities[p]
-        children[i:i + 2] = [exchangeable(children[i], children[i + 1])]
-    spine = replace(spine, children=tuple(children))
-    if tree.root.kind == ORDER:
-        return East(tree.intent, spine)
-    root = replace(tree.root, children=(spine,) + tree.root.children[1:])
-    return East(tree.intent, root)
+    # the spine is never empty: a planned swap stays planned only while some
+    # template feeding the spine keeps the spine's order at that pair
+    if not branches:
+        return East(intent, _alignment_node(spine, 1.0, swaps))
+    total = sum(t.source_count for t in templates)
+    return East(intent, pick_one(
+        _alignment_node(spine, spine.count / total, swaps),
+        *(_alignment_node(b, b.count / total) for b in branches.values()),
+    ))
 
 
 def detect_exchangeable(tree: East, templates: Sequence[SentenceTemplate]) -> East:
@@ -455,18 +379,9 @@ def build(dataset: Dataset, config: BuilderConfig | None = None) -> dict[str, Ea
             log.warning("intent %r has no templates; skipped", intent)
             continue
         occ = entity_occurrence(templates)
-        if occ:
-            main = determine_main_entities(occ, config.main_entity_threshold)
-            if config.singleton_main:
-                main = main[:1]
-        else:
-            main = []
-        scaffold = skeleton(main, templates, intent=intent)
-        for template in templates:
-            grow(scaffold, template)
-        total = sum(t.source_count for t in templates)
-        tree = finalize_weights(scaffold, total)
-        tree = _wrap_planned_swaps(tree, scaffold)
-        tree = detect_exchangeable(tree, templates)
-        trees[intent] = check_valid(tree)
+        main = determine_main_entities(occ, config.main_entity_threshold) if occ else []
+        if config.singleton_main:
+            main = main[:1]
+        tree = _intent_tree(intent, main, templates)
+        trees[intent] = check_valid(detect_exchangeable(tree, templates))
     return trees

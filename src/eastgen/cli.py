@@ -365,7 +365,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print(f"intent {intent!r}:")
             occ = entity_occurrence(templates)
             for label in sorted(occ, key=lambda l: (-occ[l], l)):
-                print(f"  {label}: {int(occ[label] * 100)}%")
+                share = occ[label]  # exact: 0.504 and 0.5 sit on either side of 0.5
+                print(f"  {label}: {share.numerator}/{share.denominator}"
+                      f" ({float(share) * 100:.2f}%)")
     else:
         trees = _load_trees(args.trees)
         for intent, tree in trees.items():

@@ -133,7 +133,7 @@ class _Fills:
     """Per-slot form tables (cumulative counts, a (tokens, tags) pair per
     form) and kNN pools, built on first use and shared by a batch's intents;
     a pool depends only on its candidate (and slot, for lexicon neighbors).
-    The counters tally substitutions since they were last reset.
+    The counters tally the substitutions of every draw made with it.
     """
 
     def __init__(self, lexicon: EntityLexicon, table: EmbeddingTable | None,
@@ -280,12 +280,10 @@ def _intent_seed(seed: int, intent: str) -> int:
 
 
 def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
-                   ) -> tuple[list[GeneratedSentence], array, tuple[int, int, int]]:
+                   ) -> tuple[list[GeneratedSentence], array]:
     """Draw `n` sentences of one intent from its own stream, seeded by
-    (seed, intent). Returns the distinct sentences in first-drawn order,
-    the index into them of every draw, and the intent's counters (kNN fills,
-    OOV bypasses, multi-token bypasses)."""
-    fills.knn_fills = fills.oov_bypasses = fills.multi_token_bypasses = 0
+    (seed, intent). Returns the distinct sentences in first-drawn order and
+    the index into them of every draw."""
     rng = random.Random(_intent_seed(fills.config.seed, intent))
     root = tree.root
     index: dict[tuple, int] = {}
@@ -294,7 +292,7 @@ def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
         tokens, tags = _interpret(root, fills, rng, None)
         draws.append(index.setdefault((tuple(tokens), tuple(tags)), len(index)))
     distinct = [GeneratedSentence(tokens, tags, tree.intent, ()) for tokens, tags in index]
-    return distinct, draws, (fills.knn_fills, fills.oov_bypasses, fills.multi_token_bypasses)
+    return distinct, draws
 
 
 def _shares(counts: dict[str, int], fills: _Fills) -> list[list[str]]:
@@ -432,15 +430,16 @@ def generate_batch(
     distinct = 0
     for intent, n in counts.items():
         # popped, so each intent's draws are freed once copied into `out`
-        sentences, draws, (knn_fills, oov_bypasses, multi_token_bypasses) = results.pop(intent)
+        sentences, draws = results.pop(intent)
         # equal sentences share one object: most draws of a small tree repeat
         # one, and each kept copy would cost memory and garbage-collector scans
         out += map(sentences.__getitem__, draws)
         distinct += len(sentences)  # sentences of two intents never compare equal
         stats.sentences_per_intent[intent] += n
-        stats.knn_fills += knn_fills
-        stats.oov_bypasses += oov_bypasses
-        stats.multi_token_bypasses += multi_token_bypasses
+    # forked children draw without a table, so their substitution counts are 0
+    stats.knn_fills = fills.knn_fills
+    stats.oov_bypasses = fills.oov_bypasses
+    stats.multi_token_bypasses = fills.multi_token_bypasses
     stats.total = len(out)
     stats.distinct = distinct
     return out

@@ -13,13 +13,21 @@ from eastgen import (
     determine_main_entities,
     entity_occurrence,
     enumerate_language,
-    finalize_weights,
-    grow,
-    skeleton,
+    parse_conll,
     validate,
 )
 from eastgen.corpus import Literal, Placeholder
-from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, ORDER, PICKONE, iter_nodes
+from eastgen.east import (
+    ENTITY,
+    EXCHANGEABLE,
+    FIXED,
+    ORDER,
+    PICKONE,
+    East,
+    entity,
+    iter_nodes,
+    order,
+)
 
 
 def sentence(intent, *pairs):
@@ -30,6 +38,21 @@ def sentence(intent, *pairs):
 
 def exchangeable_nodes(tree):
     return [n for _, n in iter_nodes(tree) if n.kind == EXCHANGEABLE]
+
+
+def spine_of(tree):
+    """The spine of a built tree: the entity slots of its first alignment
+    (the root order, or the root pick-one's first child) in order, and the
+    positions p of the spine pairs (p, p + 1) that exchangeable nodes hold."""
+    alignment = tree.root if tree.root.kind == ORDER else tree.root.children[0]
+    slots, swaps = [], set()
+    for child in alignment.children:
+        if child.kind == EXCHANGEABLE:
+            swaps.add(len(slots))
+            slots.extend(c.slot for c in child.children)
+        elif child.kind == ENTITY:
+            slots.append(child.slot)
+    return tuple(slots), swaps
 
 
 class TestEntityOccurrence:
@@ -86,72 +109,60 @@ class TestDetermineMainEntities:
 
 
 class TestSkeleton:
-    def test_airline_spine_is_modal_arrangement(self, airline_templates):
-        main = ["city_name", "day_number", "flight_days", "month_name"]
-        scaffold = skeleton(main, airline_templates, intent="airline")
-        assert scaffold.spine_labels == (
-            "flight_days",
-            "city_name",
-            "city_name",
-            "month_name",
-            "day_number",
+    """The spine `build` picks: the modal main-entity arrangement."""
+
+    def test_airline_spine_is_modal_arrangement(self, airline_dataset):
+        tree = build(airline_dataset)["airline"]
+        # the date pair is planned as a transposition site, spine order kept
+        assert spine_of(tree) == (
+            ("flight_days", "city_name", "city_name", "month_name", "day_number"),
+            {3},
         )
-        # the date pair is planned as a transposition site
-        assert scaffold.swap_pairs == frozenset({3})
-        leaves = scaffold.initial_tree().root.children
-        assert [n.slot for n in leaves] == list(scaffold.spine_labels)
 
     def test_single_label_spine(self):
-        template = SentenceTemplate((Literal("hi"), Placeholder("A")))
-        scaffold = skeleton(["A"], [template])
-        assert scaffold.spine_labels == ("A",)
+        tree = build(build_dataset([sentence("x", ("hi", "O"), ("oslo", "B-A"))]))["x"]
+        assert spine_of(tree) == (("A",), set())
 
     def test_identical_spines_agree(self):
-        t1 = SentenceTemplate((Placeholder("A"), Literal("x"), Placeholder("B")))
-        t2 = SentenceTemplate((Placeholder("A"), Literal("y"), Placeholder("B")))
-        scaffold = skeleton(["A", "B"], [t1, t2])
-        assert scaffold.spine_labels == ("A", "B")
-        assert scaffold.swap_pairs == frozenset()
+        corpus = [
+            sentence("x", ("a", "B-A"), ("x", "O"), ("b", "B-B")),
+            sentence("x", ("a", "B-A"), ("y", "O"), ("b", "B-B")),
+        ]
+        tree = build(build_dataset(corpus))["x"]
+        assert spine_of(tree) == (("A", "B"), set())
 
     def test_mode_weighs_source_count(self):
-        majority = SentenceTemplate((Placeholder("B"), Placeholder("A")), source_count=3)
-        minority = SentenceTemplate((Placeholder("A"), Placeholder("B")))
-        scaffold = skeleton(["A", "B"], [minority, majority])
-        assert scaffold.spine_labels == ("B", "A")
+        minority = sentence("x", ("a", "B-A"), ("b", "B-B"))
+        majority = sentence("x", ("b", "B-B"), ("a", "B-A"))
+        tree = build(build_dataset([minority] + [majority] * 3))["x"]
+        assert spine_of(tree) == (("B", "A"), {0})
+
+    def test_tie_goes_to_first_seen_arrangement(self):
+        first = sentence("x", ("b", "B-B"), ("a", "B-A"))
+        second = sentence("x", ("a", "B-A"), ("b", "B-B"))
+        tree = build(build_dataset([first, second]))["x"]
+        assert spine_of(tree) == (("B", "A"), {0})
 
 
 class TestGrow:
-    def test_opening_region_merges_phrasings(self, airline_templates):
-        main = ["city_name", "day_number", "flight_days", "month_name"]
-        scaffold = skeleton(main, airline_templates, intent="airline")
-        grow(scaffold, airline_templates[0])
-        grow(scaffold, airline_templates[1])
-        tree = finalize_weights(scaffold, total_sentences=2)
+    """How `build` merges templates into the spine or into root branches."""
+
+    def test_opening_region_merges_phrasings(self, airline_corpus):
+        dataset = build_dataset(parse_conll(airline_corpus)[:2])
+        tree = build(dataset)["airline"]
         opening = tree.root.children[0]
         assert opening.kind == FIXED
         assert opening.dictionary == {"which airlines have": 1, "are there any": 1}
 
-    def test_mismatching_template_becomes_branch(self, airline_templates):
-        main = ["city_name", "day_number", "flight_days", "month_name"]
-        scaffold = skeleton(main, airline_templates, intent="airline")
-        for template in airline_templates:
-            grow(scaffold, template)
-        assert list(scaffold.branches) == [("city_name", "city_name")]
-        assert scaffold.spine.count == 2
-
-    def test_growing_same_template_twice_only_bumps_counts(self):
-        template = SentenceTemplate((Literal("hi"), Placeholder("A")))
-        scaffold = skeleton(["A"], [template], intent="x")
-        grow(scaffold, template)
-        once = finalize_weights(scaffold, 1)
-        grow(scaffold, template)
-        twice = finalize_weights(scaffold, 2)
-        assert once.root.children[0].dictionary == {"hi": 1}
-        assert twice.root.children[0].dictionary == {"hi": 2}
-        # structure unchanged: same kinds at same positions
-        assert [n.kind for _, n in iter_nodes(once)] == [
-            n.kind for _, n in iter_nodes(twice)
+    def test_mismatching_template_becomes_branch(self, airline_dataset):
+        tree = build(airline_dataset)["airline"]
+        assert tree.root.kind == PICKONE
+        spine, branch = tree.root.children
+        assert [c.slot for c in branch.children if c.kind == ENTITY] == [
+            "city_name",
+            "city_name",
         ]
+        assert spine.weight == pytest.approx(2 / 3)
 
 
 class TestFinalizeWeights:
@@ -179,23 +190,12 @@ class TestFinalizeWeights:
         node = tree.root.children[0]
         assert node.weight == 1.0 and node.dropout is None
 
-    def test_total_mismatch_rejected(self):
-        template = SentenceTemplate((Literal("hi"),))
-        scaffold = skeleton([], [template], intent="x")
-        grow(scaffold, template)
-        with pytest.raises(ValueError):
-            finalize_weights(scaffold, total_sentences=5)
-
 
 class TestDetectExchangeable:
     def test_airline_date_pair_wrapped(self, airline_dataset):
         templates = airline_dataset.by_intent["airline"]
-        main = ["city_name", "day_number", "flight_days", "month_name"]
-        scaffold = skeleton(main, templates, intent="airline")
-        for template in templates:
-            grow(scaffold, template)
-        plain = finalize_weights(scaffold, 3)
-        assert exchangeable_nodes(plain) == []
+        spine = ("flight_days", "city_name", "city_name", "month_name", "day_number")
+        plain = East("airline", order(*(entity(slot) for slot in spine)))
         tree = detect_exchangeable(plain, templates)
         (node,) = exchangeable_nodes(tree)
         assert {c.slot for c in node.children} == {"month_name", "day_number"}
@@ -391,7 +391,6 @@ class TestMainEntitiesAwayFromThreshold:
             assert occ == shares
             assert min(abs(share - threshold) for share in occ.values()) > 0.1
             assert determine_main_entities(occ, threshold) == main
-            assert skeleton(main, templates).spine_labels == spine
             # the spine is the built tree's first alignment
             root = trees[intent].root
             assert root.kind == PICKONE  # the sentences without a main entity branch off

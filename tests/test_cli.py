@@ -747,10 +747,25 @@ class TestStats:
         assert "vocab size: 30" in out
         assert "intents: 1" in out
         assert "slot labels: 4" in out
-        assert "city_name: 100%" in out
-        assert "flight_days: 66%" in out
-        assert "month_name: 66%" in out
-        assert "day_number: 66%" in out
+        assert "city_name: 1/1 (100.00%)" in out
+        assert "flight_days: 2/3 (66.67%)" in out
+        assert "month_name: 2/3 (66.67%)" in out
+        assert "day_number: 2/3 (66.67%)" in out
+
+    def test_corpus_occurrence_shows_the_side_of_one_half(self, tmp_path, capsys):
+        # 126 of 250 sentences (a main entity at threshold 0.5) against 1 of
+        # 2 (not one): a whole percentage prints both as 50%
+        sentence = "# intent: {}\ngo\tO\n{}\n\n"
+        corpus = tmp_path / "half.conll"
+        corpus.write_text("".join(
+            [sentence.format("a", "oslo\tB-city")] * 126
+            + [sentence.format("a", "now\tO")] * 124
+            + [sentence.format("b", "oslo\tB-city"), sentence.format("b", "now\tO")]
+        ))
+        assert main(["stats", "--corpus", str(corpus)]) == 0
+        out = capsys.readouterr().out
+        assert "intent 'a':\n  city: 63/125 (50.40%)\n" in out
+        assert "intent 'b':\n  city: 1/2 (50.00%)\n" in out
 
     def test_average_sentence_length(self, corpus_file, capsys):
         main(["stats", "--corpus", str(corpus_file)])
