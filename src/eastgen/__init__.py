@@ -28,12 +28,9 @@ from .corpus import (
 from .east import (
     East,
     Node,
-    TemplateLanguage,
     deserialize,
     entity,
-    enumerate_language,
     exchangeable,
-    expand_templates,
     fixed,
     order,
     pick_one,
@@ -68,7 +65,6 @@ __all__ = [
     "Placeholder",
     "RegexBundle",
     "SentenceTemplate",
-    "TemplateLanguage",
     "abstract_entities",
     "build",
     "build_dataset",
@@ -78,9 +74,7 @@ __all__ = [
     "emit",
     "entity",
     "entity_occurrence",
-    "enumerate_language",
     "exchangeable",
-    "expand_templates",
     "export_regex",
     "fixed",
     "generate_batch",

@@ -13,7 +13,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CorpusParseError,
@@ -366,23 +366,6 @@ def _segments(
                 placeholders[part] = Placeholder(part[2:])
             segments.append(placeholders[part])
     return tuple(segments)
-
-
-def reinsert_entities(
-    template: SentenceTemplate, pairs: list[tuple[str, str]]
-) -> tuple[str, ...]:
-    """Inverse of abstract_entities: fill placeholders with surfaces in order."""
-    tokens: list[str] = []
-    it: Iterator[tuple[str, str]] = iter(pairs)
-    for segment in template.segments:
-        if isinstance(segment, Literal):
-            tokens.append(segment.text)
-        else:
-            label, surface = next(it)
-            if label != segment.label:
-                raise ValueError(f"pair label {label!r} != placeholder {segment.label!r}")
-            tokens.extend(surface.split(" "))
-    return tuple(tokens)
 
 
 def build_dataset(

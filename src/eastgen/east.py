@@ -1,5 +1,5 @@
-"""Entity-aware syntax tree model: validation, JSON round trip and
-enumeration; each node also carries the static facts the generator samples.
+"""Entity-aware syntax tree model: validation and JSON round trip; each
+node also carries the static facts the generator samples.
 
 A tree has one intent and an ordered node structure. Control nodes steer
 traversal (order = concatenate children, pickone = choose one child,
@@ -12,21 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, permutations
-from typing import Iterable, Iterator
+from itertools import accumulate
+from typing import Iterator
 
-from .corpus import (
-    FLOAT_MAX,
-    Literal,
-    Placeholder,
-    Segment,
-    SentenceTemplate,
-    is_intent,
-    is_phrase,
-    is_token,
-    json_fault,
-)
-from .errors import LanguageSizeExceeded, TreeSchemaError, TreeValidationError
+from .corpus import FLOAT_MAX, is_intent, is_phrase, is_token, json_fault
+from .errors import TreeSchemaError, TreeValidationError
 
 ORDER = "order"
 PICKONE = "pickone"
@@ -42,7 +32,7 @@ WEIGHT_SUM_TOLERANCE = 1e-9
 # every walker but the sampler recurses; this bound keeps them all far
 # from Python's recursion limit
 MAX_DEPTH = 100
-MAX_EXCHANGEABLE = 6  # enumeration and regex export expand all n! child orders
+MAX_EXCHANGEABLE = 6  # regex export expands all n! child orders
 
 
 @dataclass(frozen=True)
@@ -280,17 +270,17 @@ def _parse_node(obj, path: str, depth: int = 0) -> Node:
 
 
 def _distribute_pickone_weights(children: tuple[Node, ...], raw: list) -> tuple[Node, ...]:
-    # hand-authored documents may omit weights; unspecified siblings share
-    # the probability mass the specified ones leave over
-    unspecified = [i for i, obj in enumerate(raw) if "weight" not in obj]
-    if not unspecified:
+    # hand-authored documents may omit weights (absent or null); unspecified
+    # siblings share the probability mass the specified ones leave over
+    unspecified = [obj.get("weight") is None for obj in raw]
+    if not any(unspecified):
         return children
     remaining = 1.0 - sum(
-        children[i].weight for i, obj in enumerate(raw) if "weight" in obj
+        c.weight for c, free in zip(children, unspecified) if not free
     )
-    share = remaining / len(unspecified)
-    return tuple(c if "weight" in obj else replace(c, weight=share)
-                 for c, obj in zip(children, raw))
+    share = remaining / sum(unspecified)
+    return tuple(replace(c, weight=share) if free else c
+                 for c, free in zip(children, unspecified))
 
 
 def deserialize(text: str) -> East:
@@ -311,98 +301,3 @@ def deserialize(text: str) -> East:
         raise TreeSchemaError("missing root node", "root")
     tree = East(intent=intent, root=_parse_node(doc["root"], "root"))
     return check_valid(tree)
-
-
-# --- exhaustive enumeration (test oracle for traversal semantics) ----------
-
-
-@dataclass(frozen=True)
-class TemplateLanguage:
-    """The finite set of templates a tree can produce."""
-
-    templates: frozenset[tuple[Segment, ...]]
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, SentenceTemplate):
-            item = item.segments
-        return tuple(item) in self.templates
-
-    def __len__(self) -> int:
-        return len(self.templates)
-
-    def __iter__(self) -> Iterator[tuple[Segment, ...]]:
-        return iter(self.templates)
-
-    def render(self) -> list[str]:
-        return sorted(
-            SentenceTemplate(segments).render() for segments in self.templates
-        )
-
-
-def enumerate_language(
-    tree: East, include_dropout_variants: bool = False, limit: int = 100_000
-) -> TemplateLanguage:
-    """Every template reachable by any traversal of the tree.
-
-    With include_dropout_variants, a node with dropout > 0 also contributes
-    its absence. Aborts with LanguageSizeExceeded when any working set
-    outgrows `limit`.
-    """
-
-    def guard(variants: set) -> set:
-        if len(variants) > limit:
-            raise LanguageSizeExceeded(limit, len(variants))
-        return variants
-
-    def expand(node: Node) -> set[tuple[Segment, ...]]:
-        if node.kind == FIXED:
-            variants = {
-                tuple(Literal(t) for t in phrase.split(" "))
-                for phrase in node.dictionary or {}
-            }
-        elif node.kind == ENTITY:
-            variants = {(Placeholder(node.slot),)}
-        elif node.kind == PICKONE:
-            variants = set()
-            for child in node.children:
-                variants |= expand(child)
-                guard(variants)
-        elif node.kind == ORDER:
-            variants = _concat(node.children)
-        elif node.kind == EXCHANGEABLE:
-            variants = set()
-            for perm in permutations(node.children):
-                variants |= _concat(perm)
-                guard(variants)
-        else:
-            raise ValueError(f"unknown node kind {node.kind!r}")
-        if include_dropout_variants and node.dropout:
-            variants = variants | {()}
-        return guard(variants)
-
-    def _concat(children: Iterable[Node]) -> set[tuple[Segment, ...]]:
-        acc: set[tuple[Segment, ...]] = {()}
-        for child in children:
-            child_variants = expand(child)
-            acc = {head + tail for head in acc for tail in child_variants}
-            guard(acc)
-        return acc
-
-    return TemplateLanguage(frozenset(expand(tree.root)))
-
-
-def expand_templates(
-    templates: Iterable[tuple[Segment, ...]], forms_by_slot: dict[str, list[str]]
-) -> set[tuple[str, ...]]:
-    """Ground templates into token sequences using lexicon surface forms."""
-    sentences: set[tuple[str, ...]] = set()
-    for segments in templates:
-        partial: list[tuple[str, ...]] = [()]
-        for segment in segments:
-            if isinstance(segment, Literal):
-                partial = [p + (segment.text,) for p in partial]
-            else:
-                fills = [tuple(f.split(" ")) for f in forms_by_slot[segment.label]]
-                partial = [p + f for p in partial for f in fills]
-        sentences.update(partial)
-    return sentences

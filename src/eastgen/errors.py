@@ -58,17 +58,6 @@ class TreeValidationError(EastgenError):
         self.violations = violations
 
 
-class LanguageSizeExceeded(EastgenError):
-    """Language enumeration aborted; carries the count reached before abort."""
-
-    def __init__(self, limit: int, partial_count: int):
-        super().__init__(
-            f"enumerated language exceeds limit {limit} (reached {partial_count})"
-        )
-        self.limit = limit
-        self.partial_count = partial_count
-
-
 class MissingLexiconError(EastgenError):
     """A tree references a slot for which the lexicon has no surface forms."""
 

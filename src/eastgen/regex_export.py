@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .corpus import EntityLexicon, json_fault
+from .corpus import EntityLexicon, is_intent, json_fault
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .errors import EastgenError, MissingLexiconError
 
@@ -190,7 +190,12 @@ def load_bundle(text: str) -> RegexBundle:
         if not line:
             continue
         if line.startswith("# intent:"):
+            if intent is not None:
+                raise EastgenError(f"bundle line {lineno}: a second '# intent:' header")
             intent = line[len("# intent:"):].strip()
+            if not is_intent(intent):
+                raise EastgenError(f"bundle line {lineno}: intent must be one "
+                                   f"non-empty trimmed line, got {intent!r}")
         elif line.startswith("# groups:"):
             try:
                 pending_groups = json.loads(line[len("# groups:"):])

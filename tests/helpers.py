@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import permutations
+from typing import Iterable, Iterator
 
 try:  # the regex parser's modules, named sre_* before Python 3.11
     from re import _constants as sre_constants, _parser as sre_parse
@@ -32,9 +33,14 @@ from eastgen import (
     order,
     pick_one,
 )
-from eastgen.corpus import INTENT_HEADER, _check_sentence
+from eastgen.corpus import INTENT_HEADER, Segment, _check_sentence
 from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
-from eastgen.errors import CorpusParseError, CorpusValidationError, EmptyDatasetError
+from eastgen.errors import (
+    CorpusParseError,
+    CorpusValidationError,
+    EastgenError,
+    EmptyDatasetError,
+)
 
 # --- brute-force nearest neighbors (pure python, no numpy) ------------------
 
@@ -102,6 +108,129 @@ def bundle_language(bundle) -> set[str]:
     for pattern in bundle.patterns:
         lang |= regex_language(pattern)
     return lang
+
+
+# --- exhaustive enumeration (test oracle for traversal semantics) ----------
+
+
+class LanguageSizeExceeded(EastgenError):
+    """Language enumeration aborted; carries the count reached before abort."""
+
+    def __init__(self, limit: int, partial_count: int):
+        super().__init__(
+            f"enumerated language exceeds limit {limit} (reached {partial_count})"
+        )
+        self.limit = limit
+        self.partial_count = partial_count
+
+
+@dataclass(frozen=True)
+class TemplateLanguage:
+    """The finite set of templates a tree can produce."""
+
+    templates: frozenset[tuple[Segment, ...]]
+
+    def __contains__(self, item) -> bool:
+        if isinstance(item, SentenceTemplate):
+            item = item.segments
+        return tuple(item) in self.templates
+
+    def __len__(self) -> int:
+        return len(self.templates)
+
+    def __iter__(self) -> Iterator[tuple[Segment, ...]]:
+        return iter(self.templates)
+
+    def render(self) -> list[str]:
+        return sorted(
+            SentenceTemplate(segments).render() for segments in self.templates
+        )
+
+
+def enumerate_language(
+    tree: East, include_dropout_variants: bool = False, limit: int = 100_000
+) -> TemplateLanguage:
+    """Every template reachable by any traversal of the tree.
+
+    With include_dropout_variants, a node with dropout > 0 also contributes
+    its absence. Aborts with LanguageSizeExceeded when any working set
+    outgrows `limit`.
+    """
+
+    def guard(variants: set) -> set:
+        if len(variants) > limit:
+            raise LanguageSizeExceeded(limit, len(variants))
+        return variants
+
+    def expand(node: Node) -> set[tuple[Segment, ...]]:
+        if node.kind == FIXED:
+            variants = {
+                tuple(Literal(t) for t in phrase.split(" "))
+                for phrase in node.dictionary or {}
+            }
+        elif node.kind == ENTITY:
+            variants = {(Placeholder(node.slot),)}
+        elif node.kind == PICKONE:
+            variants = set()
+            for child in node.children:
+                variants |= expand(child)
+                guard(variants)
+        elif node.kind == ORDER:
+            variants = _concat(node.children)
+        elif node.kind == EXCHANGEABLE:
+            variants = set()
+            for perm in permutations(node.children):
+                variants |= _concat(perm)
+                guard(variants)
+        else:
+            raise ValueError(f"unknown node kind {node.kind!r}")
+        if include_dropout_variants and node.dropout:
+            variants = variants | {()}
+        return guard(variants)
+
+    def _concat(children: Iterable[Node]) -> set[tuple[Segment, ...]]:
+        acc: set[tuple[Segment, ...]] = {()}
+        for child in children:
+            child_variants = expand(child)
+            acc = {head + tail for head in acc for tail in child_variants}
+            guard(acc)
+        return acc
+
+    return TemplateLanguage(frozenset(expand(tree.root)))
+
+
+def expand_templates(
+    templates: Iterable[tuple[Segment, ...]], forms_by_slot: dict[str, list[str]]
+) -> set[tuple[str, ...]]:
+    """Ground templates into token sequences using lexicon surface forms."""
+    sentences: set[tuple[str, ...]] = set()
+    for segments in templates:
+        partial: list[tuple[str, ...]] = [()]
+        for segment in segments:
+            if isinstance(segment, Literal):
+                partial = [p + (segment.text,) for p in partial]
+            else:
+                fills = [tuple(f.split(" ")) for f in forms_by_slot[segment.label]]
+                partial = [p + f for p in partial for f in fills]
+        sentences.update(partial)
+    return sentences
+
+
+def reinsert_entities(
+    template: SentenceTemplate, pairs: list[tuple[str, str]]
+) -> tuple[str, ...]:
+    """Inverse of abstract_entities: fill placeholders with surfaces in order."""
+    tokens: list[str] = []
+    it: Iterator[tuple[str, str]] = iter(pairs)
+    for segment in template.segments:
+        if isinstance(segment, Literal):
+            tokens.append(segment.text)
+        else:
+            label, surface = next(it)
+            if label != segment.label:
+                raise ValueError(f"pair label {label!r} != placeholder {segment.label!r}")
+            tokens.extend(surface.split(" "))
+    return tuple(tokens)
 
 
 # --- exact structural path distribution (mirrors provenance encoding) -------

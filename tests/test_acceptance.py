@@ -24,8 +24,6 @@ from eastgen import (
     build,
     build_dataset,
     deserialize,
-    enumerate_language,
-    expand_templates,
     export_regex,
     generate_batch,
     generate_one,
@@ -45,6 +43,8 @@ from conftest import AIRLINE_CONLL, WEATHER_CONLL
 from helpers import (
     brute_force_knn,
     bundle_language,
+    enumerate_language,
+    expand_templates,
     ground_truth_world,
     path_distribution,
     random_tree,

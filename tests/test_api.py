@@ -23,7 +23,6 @@ PUBLIC = {
     "Placeholder",
     "RegexBundle",
     "SentenceTemplate",
-    "TemplateLanguage",
     "abstract_entities",
     "build",
     "build_dataset",
@@ -33,9 +32,7 @@ PUBLIC = {
     "emit",
     "entity",
     "entity_occurrence",
-    "enumerate_language",
     "exchangeable",
-    "expand_templates",
     "export_regex",
     "fixed",
     "generate_batch",

@@ -12,7 +12,6 @@ from eastgen import (
     detect_exchangeable,
     determine_main_entities,
     entity_occurrence,
-    enumerate_language,
     parse_conll,
     validate,
 )
@@ -28,6 +27,7 @@ from eastgen.east import (
     iter_nodes,
     order,
 )
+from helpers import enumerate_language
 
 
 def sentence(intent, *pairs):

@@ -20,7 +20,6 @@ from eastgen import (
     abstract_entities,
     deserialize,
     entity,
-    enumerate_language,
     exchangeable,
     fixed,
     order,
@@ -36,6 +35,7 @@ from eastgen.east import (
 from eastgen.regex_export import load_bundle, match
 
 from conftest import AIRLINE_CONLL, cache_entries, split_over_three_cpus
+from helpers import enumerate_language
 
 
 @pytest.fixture

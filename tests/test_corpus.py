@@ -18,7 +18,6 @@ from eastgen.corpus import (
     is_intent,
     is_phrase,
     is_token,
-    reinsert_entities,
 )
 from eastgen import corpus
 from eastgen.errors import (
@@ -33,6 +32,7 @@ from helpers import (
     abstract_entities_per_token,
     build_dataset_per_segment,
     parse_conll_per_line,
+    reinsert_entities,
 )
 
 

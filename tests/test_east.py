@@ -14,9 +14,7 @@ from eastgen import (
     Placeholder,
     deserialize,
     entity,
-    enumerate_language,
     exchangeable,
-    expand_templates,
     fixed,
     generate_batch,
     order,
@@ -25,15 +23,22 @@ from eastgen import (
     serialize,
     validate,
 )
-from eastgen.east import FLOAT_MAX, MAX_DEPTH, MAX_EXCHANGEABLE, TemplateLanguage
+from eastgen.east import FLOAT_MAX, MAX_DEPTH, MAX_EXCHANGEABLE
 from eastgen.errors import (
     EastgenError,
-    LanguageSizeExceeded,
     TreeSchemaError,
     TreeValidationError,
 )
 
-from helpers import random_tree, random_tree_with_budget, structural_path_count
+from helpers import (
+    LanguageSizeExceeded,
+    TemplateLanguage,
+    enumerate_language,
+    expand_templates,
+    random_tree,
+    random_tree_with_budget,
+    structural_path_count,
+)
 
 
 def airline_shaped_tree() -> East:

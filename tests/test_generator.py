@@ -21,7 +21,6 @@ from eastgen import (
     build_dataset,
     emit,
     entity,
-    enumerate_language,
     exchangeable,
     fixed,
     generate_batch,
@@ -38,6 +37,7 @@ from eastgen.errors import MissingLexiconError
 
 from helpers import (
     brute_force_knn,
+    enumerate_language,
     ground_truth_world,
     path_distribution,
     random_tree_with_budget,

@@ -11,9 +11,10 @@ changed; only a change that declares new output may update these values.
 A second case pins `eastgen build` and `export-regex` on a corpus sampled
 from the same trees, so refactors of the builder and the regex exporter
 are held to the same promise. Further cases pin the same commands on that
-corpus with other builder options, and `build` alone on a corpus sampled
+corpus with other builder options, `build` alone on a corpus sampled
 from random trees, whose exchangeable and pick-one nodes draw entity
-orders the hand-written trees do not.
+orders the hand-written trees do not, and both commands on a small
+hand-written corpus whose spine needs a planned swap.
 
 The `no-embeddings` case and the build case run once more with the batch
 split over forked processes, which their small counts never trigger on
@@ -225,6 +226,28 @@ BUILD_OPTION_GOLDEN = {
     ),
 }
 
+# spine B A B with the swap (A, B) planned, where B is stop and A is day;
+# B-A is also seen both ways, so detect_exchangeable alone would wrap that
+# pair and lose the template B B A: only the planned swap writes these bytes
+PLANNED_SWAP_CONLL = """\
+# intent: swap
+oslo\tB-stop
+monday\tB-day
+rome\tB-stop
+please\tO
+now\tO
+
+# intent: swap
+hello\tO
+
+# intent: swap
+oslo\tB-stop
+rome\tB-stop
+monday\tB-day
+"""
+# sha256 over every build and export-regex output of PLANNED_SWAP_CONLL
+PLANNED_SWAP_GOLDEN = "221382ffab6c1908f3cb0f2a280571ab60c15829de123c6f7c77912a0ee5c581"
+
 RANDOM_TREES = 8
 RANDOM_COUNT = 40  # per tree
 # sha256 over every `build` output of the random-tree corpus
@@ -247,6 +270,13 @@ def test_build_options_digests_are_pinned(case, tmp_path):
     extra, digest = BUILD_OPTION_GOLDEN[case]
     _build_and_export(tmp_path, _sampled_corpus(tmp_path), extra)
     assert _outputs_digest(tmp_path) == digest
+
+
+def test_build_digest_on_a_planned_swap_is_pinned(tmp_path):
+    corpus = tmp_path / "corpus.conll"
+    corpus.write_text(PLANNED_SWAP_CONLL, encoding="utf-8")
+    _build_and_export(tmp_path, corpus, [])
+    assert _outputs_digest(tmp_path) == PLANNED_SWAP_GOLDEN
 
 
 def test_build_digest_on_random_trees_is_pinned(tmp_path):

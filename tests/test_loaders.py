@@ -138,9 +138,11 @@ def test_malformed_bundle_groups_name_the_line(groups, message):
          "unknown group 'g1'"),
         ('# intent: x\n# groups: {"g0": 1}\n^(?P<g0>a)$\n', 2,
          "groups must be an object of slots"),
+        ("# intent: a\n^x$\n# intent: b\n^y$\n", 3, "a second '# intent:' header"),
+        ("# intent:\n^x$\n", 1, "intent must be one non-empty trimmed line, got ''"),
     ],
     ids=["unbalanced", "nested-too-deep", "huge-repeat", "no-such-group", "one-missing-group",
-         "slot-not-a-string"],
+         "slot-not-a-string", "second-intent", "empty-intent"],
 )
 def test_broken_bundle_names_the_line(text, line, message):
     with pytest.raises(EastgenError) as err:
@@ -152,6 +154,23 @@ def test_checked_bundle_matches():
     bundle = load_bundle('# intent: x\n# groups: {"g0": "city"}\n^to (?P<g0>new york)$\n')
     assert bundle.patterns == ["^to (?P<g0>new york)$"]
     assert match(bundle, ["to", "new", "york"]) == ("x", ["O", "B-city", "I-city"])
+
+
+@pytest.mark.parametrize("weights, expected", [
+    ((None, "absent", "absent"), [1 / 3] * 3),
+    ((None, 0.5, "absent"), [0.25, 0.5, 0.25]),
+])
+def test_null_pickone_weight_counts_as_omitted(weights, expected):
+    # "weight": null means absent, as "dropout": null does: such children
+    # share the mass the weighted ones leave over
+    children = [{"kind": "fixed", "dictionary": {p: 1}} for p in "abc"]
+    for child, weight in zip(children, weights):
+        if weight != "absent":
+            child["weight"] = weight
+    tree = deserialize(json.dumps(
+        {"intent": "x", "root": {"kind": "pickone", "children": children}}
+    ))
+    assert [c.weight for c in tree.root.children] == pytest.approx(expected)
 
 
 @settings(max_examples=40, deadline=None)

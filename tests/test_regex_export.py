@@ -6,8 +6,6 @@ from eastgen import (
     build,
     build_dataset,
     entity,
-    enumerate_language,
-    expand_templates,
     export_regex,
     fixed,
     match,
@@ -17,7 +15,13 @@ from eastgen import (
 from eastgen.errors import MissingLexiconError
 from eastgen.regex_export import dump_bundle, load_bundle
 
-from helpers import bundle_language, random_tree_with_budget, small_lexicon
+from helpers import (
+    bundle_language,
+    enumerate_language,
+    expand_templates,
+    random_tree_with_budget,
+    small_lexicon,
+)
 
 
 def lex(**entries) -> EntityLexicon:
