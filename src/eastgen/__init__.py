@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .builder import (
     BuilderConfig,
     build,
-    detect_exchangeable,
     determine_main_entities,
     entity_occurrence,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "build",
     "build_dataset",
     "deserialize",
-    "detect_exchangeable",
     "determine_main_entities",
     "emit",
     "entity",

@@ -6,9 +6,9 @@ is split and cut at its main entities once; the spine is the most common
 main-entity arrangement; adjacent spine pairs that templates realize in
 both orders are planned as swaps; every template's literal runs merge into
 the regions between spine entities, and the retained counts give the
-weights and dropout. Planned swaps become exchangeable nodes as the spine
-is lowered, and a last pass wraps any other adjacent entity pair realized
-in both orders.
+weights and dropout. As the tree is lowered, planned swaps and any other
+adjacent entity leaves whose labels templates realize next to each other
+in both orders become exchangeable nodes.
 
 Templates whose main-entity sequence cannot be aligned with the spine
 (even allowing the planned swaps) are kept intact as alternatives under a
@@ -24,12 +24,10 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, Literal, Placeholder, SentenceTemplate
+from .corpus import Dataset, Literal, SentenceTemplate
 from .east import (
     East,
-    ENTITY,
     Node,
-    ORDER,
     check_valid,
     entity,
     exchangeable,
@@ -46,6 +44,7 @@ log = logging.getLogger(__name__)
 # literals, which is unambiguous because a token is never empty
 Run = tuple[tuple[str, ...], tuple[str, ...]]
 _EMPTY: Run = ((), ("",))
+Pairs = frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -216,17 +215,23 @@ def _interleave(
     labels: tuple[str, ...],
     fills: Iterable[Node | None],
     weight: float,
+    reversible: Pairs,
     swaps: frozenset[int] = frozenset(),
 ) -> Node:
     """An order of entity leaves with each fill that is not None in the gap
     before its leaf; the last fill follows the last leaf. The leaves at each
     swap position p and p + 1 become one exchangeable node; the gap between
-    them must be empty."""
-    children = []
+    them must be empty. Left to right, a leaf that starts no swap joins the
+    entity leaf right before it in an exchangeable node when their pair is
+    reversible."""
+    children: list[Node] = []
     for i, (fill, label) in enumerate(zip_longest(fills, labels)):
         if fill is not None:
             children.append(fill)
-        if i - 1 in swaps:
+        # only an entity leaf has a slot
+        if i - 1 in swaps or (
+            i not in swaps and children and (children[-1].slot, label) in reversible
+        ):
             children[-1] = exchangeable(children[-1], entity(label))
         elif label is not None:
             children.append(entity(label))
@@ -234,7 +239,10 @@ def _interleave(
 
 
 def _group_node(
-    labels: tuple[str, ...], rows: list[tuple[tuple[str, ...], int]], weight: float
+    labels: tuple[str, ...],
+    rows: list[tuple[tuple[str, ...], int]],
+    weight: float,
+    reversible: Pairs,
 ) -> Node:
     """One run shape: (phrases, count) rows that share labels and empty gaps."""
     gaps: list[dict[str, int]] = [{} for _ in range(len(labels) + 1)]
@@ -244,10 +252,11 @@ def _group_node(
                 gap[phrase] = gap.get(phrase, 0) + count
     if not labels:
         return fixed(gaps[0], weight=weight)
-    return _interleave(labels, (fixed(gap) if gap else None for gap in gaps), weight)
+    fills = (fixed(gap) if gap else None for gap in gaps)
+    return _interleave(labels, fills, weight, reversible)
 
 
-def _region_node(runs: Counter, sentence_count: int) -> Node | None:
+def _region_node(runs: Counter, sentence_count: int, reversible: Pairs) -> Node | None:
     """Lower one region's observed runs to a node, or None if always empty.
 
     Multiple run shapes become a pick-one weighted by how often each was
@@ -267,25 +276,28 @@ def _region_node(runs: Counter, sentence_count: int) -> Node | None:
 
     if len(groups) == 1:
         (labels, _), rows = next(iter(groups.items()))
-        return replace(_group_node(labels, rows, 1.0), dropout=dropout)
+        return replace(_group_node(labels, rows, 1.0, reversible), dropout=dropout)
     children = tuple(
-        _group_node(labels, rows, sum(c for _, c in rows) / present_total)
+        _group_node(labels, rows, sum(c for _, c in rows) / present_total, reversible)
         for (labels, _), rows in groups.items()
     )
     return pick_one(*children, dropout=dropout)
 
 
 def _alignment_node(
-    alignment: _Alignment, weight: float, swaps: frozenset[int] = frozenset()
+    alignment: _Alignment,
+    weight: float,
+    reversible: Pairs,
+    swaps: frozenset[int] = frozenset(),
 ) -> Node:
-    regions = (_region_node(r, alignment.count) for r in alignment.regions)
-    return _interleave(alignment.labels, regions, weight, swaps)
+    regions = (_region_node(r, alignment.count, reversible) for r in alignment.regions)
+    return _interleave(alignment.labels, regions, weight, reversible, swaps)
 
 
 def _intent_tree(
     intent: str, main: Sequence[str], templates: Sequence[SentenceTemplate]
 ) -> East:
-    """The tree of one intent, before detect_exchangeable.
+    """The tree of one intent.
 
     The spine is the multiplicity-weighted modal main-entity arrangement,
     ties going to the earliest template's. A template whose main-entity
@@ -306,6 +318,12 @@ def _intent_tree(
     spine = _Alignment(max(seq_counts, key=seq_counts.__getitem__))
     swapsets = [_swap_decomposition(labels, spine.labels) for labels in arrangements]
     swaps = _plan_swaps(swapsets, runs)
+    # label pairs with no literal between; reversible ones also occur reversed
+    adjacent = {
+        pair for labels, phrases in splits
+        for pair, gap in zip(zip(labels, labels[1:]), phrases[1:]) if not gap
+    }
+    reversible = frozenset((a, b) for a, b in adjacent if a != b and (b, a) in adjacent)
 
     branches: dict[tuple[str, ...], _Alignment] = {}
     for template, (full, phrases), swapset, template_runs in zip(
@@ -322,52 +340,12 @@ def _intent_tree(
     # the spine is never empty: a planned swap stays planned only while some
     # template feeding the spine keeps the spine's order at that pair
     if not branches:
-        return East(intent, _alignment_node(spine, 1.0, swaps))
+        return East(intent, _alignment_node(spine, 1.0, reversible, swaps))
     total = sum(t.source_count for t in templates)
     return East(intent, pick_one(
-        _alignment_node(spine, spine.count / total, swaps),
-        *(_alignment_node(b, b.count / total) for b in branches.values()),
+        _alignment_node(spine, spine.count / total, reversible, swaps),
+        *(_alignment_node(b, b.count / total, reversible) for b in branches.values()),
     ))
-
-
-def detect_exchangeable(tree: East, templates: Sequence[SentenceTemplate]) -> East:
-    """Wrap adjacent entity-leaf pairs realized in both orders.
-
-    A template realizes (A, B) when it contains an A placeholder directly
-    followed by a B placeholder; pairs observed both ways become
-    exchangeable nodes.
-    """
-    adjacent: set[tuple[str, str]] = set()
-    for template in templates:
-        for a, b in zip(template.segments, template.segments[1:]):
-            if isinstance(a, Placeholder) and isinstance(b, Placeholder):
-                adjacent.add((a.label, b.label))
-
-    def rewrite(node):
-        children = tuple(rewrite(c) for c in node.children)
-        if node.kind == ORDER:
-            wrapped = []
-            i = 0
-            while i < len(children):
-                c = children[i]
-                n = children[i + 1] if i + 1 < len(children) else None
-                if (
-                    n is not None
-                    and c.kind == ENTITY
-                    and n.kind == ENTITY
-                    and c.slot != n.slot
-                    and (c.slot, n.slot) in adjacent
-                    and (n.slot, c.slot) in adjacent
-                ):
-                    wrapped.append(exchangeable(c, n))
-                    i += 2
-                else:
-                    wrapped.append(c)
-                    i += 1
-            children = tuple(wrapped)
-        return replace(node, children=children) if node.children else node
-
-    return East(tree.intent, rewrite(tree.root))
 
 
 def build(dataset: Dataset, config: BuilderConfig | None = None) -> dict[str, East]:
@@ -382,6 +360,5 @@ def build(dataset: Dataset, config: BuilderConfig | None = None) -> dict[str, Ea
         main = determine_main_entities(occ, config.main_entity_threshold) if occ else []
         if config.singleton_main:
             main = main[:1]
-        tree = _intent_tree(intent, main, templates)
-        trees[intent] = check_valid(detect_exchangeable(tree, templates))
+        trees[intent] = check_valid(_intent_tree(intent, main, templates))
     return trees

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .corpus import EntityLexicon, is_intent, json_fault
+from .corpus import INTENT_HEADER, EntityLexicon, is_intent, json_fault
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .errors import EastgenError, MissingLexiconError
 
@@ -172,7 +172,7 @@ def match(
 
 
 def dump_bundle(bundle: RegexBundle) -> str:
-    lines = [f"# intent: {bundle.intent}", f"# dialect: {DIALECT_NOTE}"]
+    lines = [f"{INTENT_HEADER} {bundle.intent}", f"# dialect: {DIALECT_NOTE}"]
     for pattern, groups in zip(bundle.patterns, bundle.group_slots):
         if groups:
             lines.append("# groups: " + json.dumps(groups, ensure_ascii=False))
@@ -185,18 +185,23 @@ def load_bundle(text: str) -> RegexBundle:
     compiled: list[re.Pattern] = []
     group_slots: list[dict[str, str]] = []
     pending_groups: dict[str, str] = {}
+    groups_line: int | None = None  # the line of pending_groups, until its pattern
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        if line.startswith("# intent:"):
+        if line.startswith(INTENT_HEADER):
             if intent is not None:
-                raise EastgenError(f"bundle line {lineno}: a second '# intent:' header")
-            intent = line[len("# intent:"):].strip()
+                raise EastgenError(
+                    f"bundle line {lineno}: a second {INTENT_HEADER!r} header")
+            intent = line[len(INTENT_HEADER):].strip()
             if not is_intent(intent):
                 raise EastgenError(f"bundle line {lineno}: intent must be one "
                                    f"non-empty trimmed line, got {intent!r}")
         elif line.startswith("# groups:"):
+            if groups_line is not None:
+                raise EastgenError(f"bundle line {groups_line}: groups without a pattern")
+            groups_line = lineno
             try:
                 pending_groups = json.loads(line[len("# groups:"):])
             except (ValueError, RecursionError) as exc:
@@ -215,7 +220,9 @@ def load_bundle(text: str) -> RegexBundle:
                 raise EastgenError(f"bundle line {lineno}: unknown group {min(missing)!r}")
             compiled.append(pattern)
             group_slots.append(pending_groups)
-            pending_groups = {}
+            pending_groups, groups_line = {}, None
+    if groups_line is not None:
+        raise EastgenError(f"bundle line {groups_line}: groups without a pattern")
     if intent is None:
-        raise EastgenError("bundle file has no '# intent:' header")
+        raise EastgenError(f"bundle file has no {INTENT_HEADER!r} header")
     return RegexBundle(intent, [p.pattern for p in compiled], group_slots, compiled)

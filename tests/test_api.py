@@ -27,7 +27,6 @@ PUBLIC = {
     "build",
     "build_dataset",
     "deserialize",
-    "detect_exchangeable",
     "determine_main_entities",
     "emit",
     "entity",

@@ -9,7 +9,6 @@ from eastgen import (
     SentenceTemplate,
     build,
     build_dataset,
-    detect_exchangeable,
     determine_main_entities,
     entity_occurrence,
     parse_conll,
@@ -22,10 +21,7 @@ from eastgen.east import (
     FIXED,
     ORDER,
     PICKONE,
-    East,
-    entity,
     iter_nodes,
-    order,
 )
 from helpers import enumerate_language
 
@@ -192,13 +188,37 @@ class TestFinalizeWeights:
 
 
 class TestDetectExchangeable:
-    def test_airline_date_pair_wrapped(self, airline_dataset):
-        templates = airline_dataset.by_intent["airline"]
-        spine = ("flight_days", "city_name", "city_name", "month_name", "day_number")
-        plain = East("airline", order(*(entity(slot) for slot in spine)))
-        tree = detect_exchangeable(plain, templates)
-        (node,) = exchangeable_nodes(tree)
-        assert {c.slot for c in node.children} == {"month_name", "day_number"}
+    """Entity pairs realized next to each other in both orders become
+    exchangeable nodes as build lowers the tree, planned swap or not."""
+
+    def test_non_main_date_pair_wrapped_in_each_region_shape(self, airline_dataset):
+        # with one main entity the dates sit inside the region after the last
+        # city, one region shape per order, where no planned swap reaches
+        tree = build(airline_dataset, BuilderConfig(singleton_main=True))["airline"]
+        assert [[c.slot for c in n.children] for n in exchangeable_nodes(tree)] == [
+            ["month_name", "day_number"], ["day_number", "month_name"]
+        ]
+        language = enumerate_language(tree, include_dropout_variants=True)
+        for template in airline_dataset.by_intent["airline"]:
+            assert template in language
+
+    def test_spine_pair_seen_reversed_only_in_a_branch_wrapped(self):
+        corpus = [
+            sentence("p", ("go", "O"), ("a", "B-A"), ("b", "B-B")),
+            sentence("p", ("fly", "O"), ("a", "B-A"), ("b", "B-B")),
+            sentence("p", ("b", "B-B"), ("a", "B-A"), ("a", "B-A")),
+        ]
+        dataset = build_dataset(corpus)
+        tree = build(dataset)["p"]
+        assert tree.root.kind == PICKONE
+        spine, branch = tree.root.children
+        # B A A has no swap decomposition onto the spine A B, so no swap is
+        # planned; the branch alone shows B right before A
+        assert [c.kind for c in spine.children] == [FIXED, EXCHANGEABLE]
+        assert [c.kind for c in branch.children] == [EXCHANGEABLE, ENTITY]
+        language = enumerate_language(tree, include_dropout_variants=True)
+        for template in dataset.by_intent["p"]:
+            assert template in language
 
     def test_no_reversal_leaves_tree_unchanged(self):
         corpus = [

@@ -227,7 +227,7 @@ BUILD_OPTION_GOLDEN = {
 }
 
 # spine B A B with the swap (A, B) planned, where B is stop and A is day;
-# B-A is also seen both ways, so detect_exchangeable alone would wrap that
+# B-A is also seen both ways, so the observed-pair rule alone would wrap that
 # pair and lose the template B B A: only the planned swap writes these bytes
 PLANNED_SWAP_CONLL = """\
 # intent: swap

@@ -140,9 +140,13 @@ def test_malformed_bundle_groups_name_the_line(groups, message):
          "groups must be an object of slots"),
         ("# intent: a\n^x$\n# intent: b\n^y$\n", 3, "a second '# intent:' header"),
         ("# intent:\n^x$\n", 1, "intent must be one non-empty trimmed line, got ''"),
+        ('# intent: x\n^a$\n# groups: {"g0": "city"}\n', 3, "groups without a pattern"),
+        ('# intent: x\n# groups: {"g0": "city"}\n# groups: {"g0": "day"}\n^(?P<g0>a)$\n', 2,
+         "groups without a pattern"),
     ],
     ids=["unbalanced", "nested-too-deep", "huge-repeat", "no-such-group", "one-missing-group",
-         "slot-not-a-string", "second-intent", "empty-intent"],
+         "slot-not-a-string", "second-intent", "empty-intent", "trailing-groups",
+         "second-groups"],
 )
 def test_broken_bundle_names_the_line(text, line, message):
     with pytest.raises(EastgenError) as err:
