@@ -29,7 +29,7 @@ from .corpus import (
     parse_lexicon,
     parse_records,
 )
-from .east import East, deserialize, entity_slots, iter_nodes, serialize
+from .east import East, deserialize, entity_slots, iter_nodes, may_expand_empty, serialize
 from .embeddings import (
     EmbeddingTable, file_sha256, iter_lines, load_cached, load_embeddings,
 )
@@ -253,6 +253,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     _check_lexicon_coverage(trees, lexicon)
     if dataset is None and args.count is None:
         raise EastgenError("--count is required when only a lexicon is given")
+    if not args.no_dropout:  # a sentence with no tokens would not re-parse
+        for intent in sorted(trees):
+            if may_expand_empty(trees[intent].root):
+                raise EastgenError(
+                    f"the tree of intent {intent!r} can draw a sentence with no tokens: "
+                    "dropout may skip every node that carries tokens"
+                )
 
     table = None
     if not args.no_embeddings:
@@ -278,12 +285,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         trees, dataset, config, table, lexicon=lexicon, stats=stats
     )
     del table  # frees the matrix before emit renders the texts
-    empty = next((s for s in sentences if not s.tokens), None)
-    if empty is not None:  # it would write a corpus that does not re-parse
-        raise EastgenError(
-            f"the tree of intent {empty.intent!r} drew a sentence with no tokens: "
-            "every node that carries tokens was dropped"
-        )
 
     out = Path(args.out)
     with _atomic_write(out) as handle:

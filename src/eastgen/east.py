@@ -108,6 +108,21 @@ def entity_slots(tree: East) -> set[str]:
     return {node.slot for _, node in iter_nodes(tree) if node.kind == ENTITY}
 
 
+def may_expand_empty(node: Node) -> bool:
+    """Whether the subtree under `node` can draw no tokens when dropout
+    applies. Every weight is positive and every dropout below 1, so such a
+    draw has a positive chance: a node with dropout may be skipped, a
+    pick-one may pick a child that draws nothing, and an order or
+    exchangeable node draws nothing when every child can."""
+    if node.dropout:
+        return True
+    if node.kind == PICKONE:
+        return any(may_expand_empty(c) for c in node.children)
+    if node.kind in (ORDER, EXCHANGEABLE):
+        return all(may_expand_empty(c) for c in node.children)
+    return False
+
+
 def _is_number(value) -> bool:
     # JSON true/false load as bool, which is an int subclass
     return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -15,8 +15,12 @@ and pre-split phrases every `Node` derives when it is built; the entity
 fill tables and kNN pools it draws from are built once per batch, in
 each process that samples it.
 Only `generate_one` records provenance (the branch choices taken).
-`emit` renders each distinct sentence once and writes that text for every
-repeat, since a large batch draws most of its sentences many times.
+
+A large batch draws most of its sentences many times, so it stays indexed
+from sampling to the file: `generate_batch` returns a `Batch`, which holds
+each intent's distinct sentences and one 4-byte index per draw, and `emit`
+renders each distinct sentence once and writes the draws by index, a
+chunk of texts per write.
 
 Each intent draws from its own stream, so `generate_batch` may sample
 whole intents in parallel: it splits them into one share per CPU, samples
@@ -43,7 +47,7 @@ bisect cumulative weights with the last cumulative value as the total
 from __future__ import annotations
 
 import hashlib
-import json
+import operator
 import os
 import random
 import signal
@@ -51,9 +55,11 @@ import threading
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from json.encoder import encode_basestring
+from typing import Iterable, NamedTuple, TextIO
 
 from .corpus import INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
@@ -66,6 +72,8 @@ OUTPUT_FORMATS = ("conll", "records")
 QUERY_BLOCK = 16
 # generate_batch forks only for a batch of at least this many draws
 PARALLEL_MIN_DRAWS = 10_000
+# emit joins the texts of this many draws into one write
+EMIT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,59 @@ class GenerationStats:
             "total": self.total,
             "duplicate_rate": round(self.duplicate_rate, 6),
         }
+
+
+class Batch(Sequence):
+    """The draws of one batch, read as the list of drawn sentences.
+
+    `parts` holds, per intent in sorted order, the distinct sentences in
+    first-drawn order and an array("I") with the index into them of every
+    draw, so a draw costs 4 bytes and repeats share one object. The batch
+    cannot be changed; slicing it or adding it to a list gives a list, and
+    it equals any list or batch with the same sentences in the same order.
+    """
+
+    __slots__ = ("parts", "_len")
+    __hash__ = None  # unhashable, like the list it stands for
+
+    def __init__(self, parts: Iterable[tuple[list[GeneratedSentence], array]]):
+        self.parts = tuple(parts)
+        self._len = sum(len(draws) for _, draws in self.parts)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for distinct, draws in self.parts:
+            yield from map(distinct.__getitem__, draws)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("batch index out of range")
+        for distinct, draws in self.parts:
+            if i < len(draws):
+                return distinct[draws[i]]
+            i -= len(draws)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Batch, list)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __add__(self, other):
+        if not isinstance(other, (Batch, list)):
+            return NotImplemented
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        if not isinstance(other, list):
+            return NotImplemented
+        return other + list(self)
 
 
 def _draw(cum: Sequence[float], random) -> int:
@@ -390,15 +451,16 @@ def generate_batch(
     *,
     lexicon: EntityLexicon | None = None,
     stats: GenerationStats | None = None,
-) -> list[GeneratedSentence]:
+) -> Batch:
     """Sample `factor` times each intent's training size (or `count` each).
 
     Intents are processed in sorted order with a sub-seed derived from
     (seed, intent), so output is fully determined by the config seed and
     independent of tree-map ordering and of how many CPUs sample it.
-    Duplicates are legitimate samples. A `stats` object describes one batch:
-    its distinct count cannot be added up over batches, so one that has
-    already counted sentences is a ValueError.
+    Duplicates are legitimate samples, and equal draws of an intent share
+    one object (see Batch). A `stats` object describes one batch: its
+    distinct count cannot be added up over batches, so one that has already
+    counted sentences is a ValueError.
     """
     if stats is not None and stats.total:
         raise ValueError("a GenerationStats describes one batch; pass a fresh one")
@@ -425,24 +487,18 @@ def generate_batch(
     if missing is not None:
         raise MissingTrainingSizeError(missing)
 
+    batch = Batch(results[intent] for intent in counts)
     stats = stats if stats is not None else GenerationStats()
-    out: list[GeneratedSentence] = []
-    distinct = 0
     for intent, n in counts.items():
-        # popped, so each intent's draws are freed once copied into `out`
-        sentences, draws = results.pop(intent)
-        # equal sentences share one object: most draws of a small tree repeat
-        # one, and each kept copy would cost memory and garbage-collector scans
-        out += map(sentences.__getitem__, draws)
-        distinct += len(sentences)  # sentences of two intents never compare equal
         stats.sentences_per_intent[intent] += n
     # forked children draw without a table, so their substitution counts are 0
     stats.knn_fills = fills.knn_fills
     stats.oov_bypasses = fills.oov_bypasses
     stats.multi_token_bypasses = fills.multi_token_bypasses
-    stats.total = len(out)
-    stats.distinct = distinct
-    return out
+    stats.total = len(batch)
+    # sentences of two intents never compare equal
+    stats.distinct = sum(len(distinct) for distinct, _ in batch.parts)
+    return batch
 
 
 def _render_conll(s: GeneratedSentence | AnnotatedSentence) -> str:
@@ -452,10 +508,12 @@ def _render_conll(s: GeneratedSentence | AnnotatedSentence) -> str:
 
 
 def _render_record(s: GeneratedSentence | AnnotatedSentence) -> str:
-    record: dict = {"tokens": list(s.tokens), "slots": list(s.slots)}
-    if s.intent is not None:
-        record["intent"] = s.intent
-    return json.dumps(record, ensure_ascii=False) + "\n"
+    # the bytes of json.dumps(record, ensure_ascii=False), which quotes each
+    # str with encode_basestring
+    tokens = ", ".join(map(encode_basestring, s.tokens))
+    slots = ", ".join(map(encode_basestring, s.slots))
+    intent = f', "intent": {encode_basestring(s.intent)}' if s.intent is not None else ""
+    return f'{{"tokens": [{tokens}], "slots": [{slots}]{intent}}}\n'
 
 
 _RENDERERS = {"conll": _render_conll, "records": _render_record}
@@ -470,15 +528,25 @@ def emit(
 
     Each distinct sentence, by hash and equality, is rendered once and its
     text written again for every repeat: most sentences of a large batch
-    repeat one drawn before, whether or not equal ones share an object.
+    repeat one drawn before, whether or not equal ones share an object. A
+    Batch arrives indexed; any other iterable is indexed here first.
     """
     render = _RENDERERS.get(fmt)
     if render is None:
         raise ValueError(f"unknown output format {fmt!r}")
-    rendered: dict = {}
     write = sink.write
+    for distinct, draws in _indexed(sentences):
+        texts = list(map(render, distinct))
+        for a in range(0, len(draws), EMIT_CHUNK):
+            write("".join(map(texts.__getitem__, draws[a:a + EMIT_CHUNK])))
+
+
+def _indexed(sentences: Iterable) -> tuple[tuple[list, array], ...]:
+    """(distinct sentences, index of every sentence) pairs, as Batch.parts."""
+    if isinstance(sentences, Batch):
+        return sentences.parts
+    index: dict = {}
+    draws = array("I")
     for s in sentences:
-        text = rendered.get(s)
-        if text is None:
-            text = rendered[s] = render(s)
-        write(text)
+        draws.append(index.setdefault(s, len(index)))
+    return ((list(index), draws),)

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .corpus import INTENT_HEADER, EntityLexicon, is_intent, json_fault
-from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
+from .corpus import INTENT_HEADER, EntityLexicon, is_intent, is_token, json_fault
+from .east import (
+    East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, may_expand_empty,
+)
 from .errors import EastgenError, MissingLexiconError
 
 DIALECT_NOTE = (
@@ -47,16 +49,6 @@ class RegexBundle:
 def _escape(text: str) -> str:
     # re.escape backslashes spaces; bare spaces match themselves and read better
     return re.escape(text).replace("\\ ", " ")
-
-
-def _may_expand_empty(node: Node) -> bool:
-    if node.dropout:
-        return True
-    if node.kind == PICKONE:
-        return any(_may_expand_empty(c) for c in node.children)
-    if node.kind in (ORDER, EXCHANGEABLE):
-        return all(_may_expand_empty(c) for c in node.children)
-    return False
 
 
 def _alternation(parts: list[str]) -> str:
@@ -100,7 +92,7 @@ class _Lowering:
         on the first element actually present, so stray separators never
         leak into the match.
         """
-        empty_flags = [_may_expand_empty(n) for n in nodes]
+        empty_flags = [may_expand_empty(n) for n in nodes]
         mandatory = [i for i, e in enumerate(empty_flags) if not e]
         if mandatory:
             m = mandatory[0]
@@ -125,7 +117,7 @@ def export_regex(tree: East, lexicon: EntityLexicon) -> RegexBundle:
     for node in roots:
         lowering = _Lowering(lexicon)
         core = lowering.lower(node)
-        if _may_expand_empty(node):
+        if may_expand_empty(node):
             patterns.append(f"^(?:{core})?$" if core else "^$")
         else:
             patterns.append(f"^{core}$")
@@ -209,6 +201,8 @@ def load_bundle(text: str) -> RegexBundle:
             if not (isinstance(pending_groups, dict)
                     and all(isinstance(slot, str) for slot in pending_groups.values())):
                 raise EastgenError(f"bundle line {lineno}: groups must be an object of slots")
+            if bad := [slot for slot in pending_groups.values() if not is_token(slot)]:
+                raise EastgenError(f"bundle line {lineno}: malformed slot label {bad[0]!r}")
         elif line.startswith("#"):
             continue
         else:

@@ -610,15 +610,16 @@ class TestEmbeddingCache:
 
 
 class TestEmptySentences:
-    """A tree that can drop every node carrying tokens draws empty sentences,
-    which neither format can carry: conll re-parses to fewer sentences and
-    a records line with no tokens fails to parse."""
+    """A tree that can drop every node carrying tokens can draw an empty
+    sentence, which neither format can carry: conll re-parses to fewer
+    sentences and a records line with no tokens fails to parse. So generate
+    rejects such a tree before it samples, whatever the seed."""
 
-    def run(self, tmp_path, out, *extra):
+    def run(self, tmp_path, out, *extra, dropout=0.9):
         tree = tmp_path / "a.east.json"
         tree.write_text(json.dumps({"intent": "a", "root": {
             "kind": "order",
-            "children": [{"kind": "fixed", "dictionary": {"x": 1}, "dropout": 0.9}],
+            "children": [{"kind": "fixed", "dictionary": {"x": 1}, "dropout": dropout}],
         }}))
         (tmp_path / "lexicon.json").write_text("{}")
         return main([
@@ -631,8 +632,38 @@ class TestEmptySentences:
         out = tmp_path / "out" / "aug.txt"
         assert self.run(tmp_path, out, "--format", fmt) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: the tree of intent 'a' drew a sentence with no tokens")
+        assert err == ("error: the tree of intent 'a' can draw a sentence with no tokens: "
+                       "dropout may skip every node that carries tokens\n")
         assert not out.parent.exists()
+
+    def test_a_seed_that_draws_tokens_every_time_fails_too(self, tmp_path, capsys, monkeypatch):
+        """The rule is on the tree, not the draws: at dropout 0.01, seed 1
+        would draw 5 sentences of one token each, and generate still refuses
+        the tree without sampling."""
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a tree that can draw no tokens")
+
+        monkeypatch.setattr("eastgen.cli.generate_batch", no_sampling)
+        out = tmp_path / "aug.conll"
+        assert self.run(tmp_path, out, dropout=0.01) == 1
+        assert "'a' can draw a sentence with no tokens" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_sorted_first_nullable_intent_is_named(self, tmp_path, capsys):
+        for intent in ("c", "b"):
+            (tmp_path / f"{intent}.east.json").write_text(json.dumps({"intent": intent, "root": {
+                "kind": "pickone", "children": [
+                    {"kind": "fixed", "dictionary": {"x": 1}, "weight": 0.5},
+                    {"kind": "fixed", "dictionary": {"y": 1}, "weight": 0.5, "dropout": 0.5},
+                ],
+            }}))
+        assert self.run(tmp_path, tmp_path / "aug.conll") == 1
+        assert "'a' can draw" in capsys.readouterr().err
+        (tmp_path / "a.east.json").unlink()
+        assert main(["generate", "--trees", str(tmp_path), "--lexicon",
+                     str(tmp_path / "lexicon.json"), "--no-embeddings", "--seed", "1",
+                     "--count", "5", "--out", str(tmp_path / "aug.conll")]) == 1
+        assert "'b' can draw" in capsys.readouterr().err
 
     def test_the_same_tree_without_dropout_generates(self, tmp_path):
         out = tmp_path / "aug.conll"
@@ -1281,7 +1312,9 @@ class TestFuzz:
             if code == 1:
                 assert err.startswith("error:")
         code, _, err = serial
-        event("reached sampling" if code == 0 or "with no tokens" in err else "stopped before")
+        event("reached sampling" if code == 0
+              else "rejected as nullable" if "can draw a sentence with no tokens" in err
+              else "stopped before")
         assert (split[0], split[2]) == (code, err)
         if code != 0:
             return

@@ -8,6 +8,7 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
@@ -335,6 +336,67 @@ class TestBatch:
             generate_batch({**trees, "orphan": extra}, tiny_dataset, cfg(factor=1))
 
 
+class TestBatchSequence:
+    """`generate_batch` returns each intent's distinct sentences and one index
+    per draw; read as a sequence, the batch keeps the list behaviour that the
+    tests and `perfbench/inputs.py` use."""
+
+    @pytest.fixture
+    def batch(self):
+        trees, lexicon = ground_truth_world()
+        return generate_batch(trees, None, cfg(count=30, seed=2), lexicon=lexicon)
+
+    def test_reads_as_its_list(self, batch):
+        drawn = list(batch)
+        assert len(batch) == len(drawn) == 150
+        assert [batch[i] for i in range(-150, 150)] == drawn + drawn
+        for i in (150, -151):
+            with pytest.raises(IndexError):
+                batch[i]
+        for cut in (slice(None), slice(3, 40), slice(-10, None), slice(None, None, -7),
+                    slice(5, 2), slice(0, 10**9, 4)):
+            assert type(batch[cut]) is list and batch[cut] == drawn[cut]
+        assert drawn[7] in batch and batch.index(drawn[7]) == drawn.index(drawn[7])
+        common = Counter(drawn).most_common(1)[0][0]
+        assert batch.count(common) == drawn.count(common) > 1
+        assert list(reversed(batch)) == drawn[::-1]
+
+    def test_compares_and_adds_as_a_list(self, batch):
+        drawn = list(batch)
+        trees, lexicon = ground_truth_world()
+        assert batch == drawn and drawn == batch and not batch != drawn
+        assert batch == generate_batch(trees, None, cfg(count=30, seed=2), lexicon=lexicon)
+        assert batch != generate_batch(trees, None, cfg(count=30, seed=3), lexicon=lexicon)
+        assert batch != drawn[:-1] and batch != drawn[::-1] and batch != tuple(drawn)
+        assert batch + drawn == drawn + batch == batch + batch == drawn + drawn
+        assert type(batch + drawn) is list and type(drawn + batch) is list
+        extended = ["first"]
+        extended.extend(batch)
+        assert extended == ["first"] + drawn
+        for bad in (lambda: batch + tuple(drawn), lambda: tuple(drawn) + batch,
+                    lambda: hash(batch), lambda: batch["0"]):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_cannot_be_changed(self, batch):
+        with pytest.raises(TypeError):
+            batch[0] = batch[1]
+        with pytest.raises(AttributeError):
+            batch.append(batch[0])
+
+    def test_equal_draws_share_one_object(self, batch):
+        assert len({id(s) for s in batch}) == len(set(batch)) < len(batch)
+
+    def test_an_empty_batch(self):
+        stats = GenerationStats()
+        batch = generate_batch({}, None, cfg(count=3), lexicon=EntityLexicon(), stats=stats)
+        assert len(batch) == stats.total == 0 and not batch
+        assert batch == [] and list(batch) == batch[:] == [] and [] + batch == []
+        with pytest.raises(IndexError):
+            batch[0]
+        assert emitted(batch, "conll") == []
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -532,7 +594,41 @@ def unshared(s: GeneratedSentence) -> GeneratedSentence:
                                for part in s))
 
 
+_ODD_CHARACTERS = '"\\/\x00\x08\t\n\x1f\x7f\x85\u00e9\u2028\u2029\ufeff\ud800\udfff\U0001f6eb'
+# any code point, lone surrogates included, with the odd ones drawn often
+_ANY_TEXT = st.text(st.sampled_from(_ODD_CHARACTERS) | st.characters(exclude_categories=()),
+                    max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ANY_TEXT, max_size=4), st.lists(_ANY_TEXT, max_size=4), st.none() | _ANY_TEXT)
+def test_a_record_line_is_json_dumps(tokens, slots, intent):
+    record: dict = {"tokens": tokens, "slots": slots}
+    if intent is not None:
+        record["intent"] = intent
+    sentence = GeneratedSentence(tuple(tokens), tuple(slots), intent, ())
+    assert generator._render_record(sentence) == json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def test_a_record_with_a_field_that_is_not_a_string_raises():
+    """json.dumps wrote a number; the record renderer accepts only str."""
+    with pytest.raises(TypeError):
+        generator._render_record(GeneratedSentence(("a", 1), ("O", "O"), "x", ()))
+
+
 class TestEmit:
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    @pytest.mark.parametrize("chunk", [7, generator.EMIT_CHUNK])
+    def test_a_batch_is_written_as_its_list(self, force_split, monkeypatch, fmt, split,
+                                            chunk):
+        monkeypatch.setattr(generator, "EMIT_CHUNK", chunk)
+        children = force_split() if split else []
+        trees, lexicon = ground_truth_world()
+        batch = generate_batch(trees, None, cfg(count=400, seed=3), lexicon=lexicon)
+        assert len(children) == (2 if split else 0)
+        assert emitted(batch, fmt) == emitted(list(batch), fmt) == emit_per_token(batch, fmt)
+
     @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
     def test_a_batch_matches_the_per_token_emitter(self, airline_dataset, fmt):
         out = generate_batch(build(airline_dataset), airline_dataset, cfg(count=200))

@@ -143,10 +143,17 @@ def test_malformed_bundle_groups_name_the_line(groups, message):
         ('# intent: x\n^a$\n# groups: {"g0": "city"}\n', 3, "groups without a pattern"),
         ('# intent: x\n# groups: {"g0": "city"}\n# groups: {"g0": "day"}\n^(?P<g0>a)$\n', 2,
          "groups without a pattern"),
+        # match would tag these B- and B-city name, which iob_violations rejects
+        ('# intent: x\n# groups: {"g0": "", "g1": "city name"}\n^(?P<g0>a) (?P<g1>b)$\n', 2,
+         "malformed slot label ''"),
+        ('# intent: x\n\n# groups: {"g0": "city", "g1": "city name"}\n^(?P<g0>a) (?P<g1>b)$\n',
+         3, "malformed slot label 'city name'"),
+        ('# intent: x\n# groups: {"g0": "city\\t"}\n^(?P<g0>a)$\n', 2,
+         "malformed slot label 'city\\t'"),
     ],
     ids=["unbalanced", "nested-too-deep", "huge-repeat", "no-such-group", "one-missing-group",
          "slot-not-a-string", "second-intent", "empty-intent", "trailing-groups",
-         "second-groups"],
+         "second-groups", "empty-slot-label", "spaced-slot-label", "tabbed-slot-label"],
 )
 def test_broken_bundle_names_the_line(text, line, message):
     with pytest.raises(EastgenError) as err:

@@ -8,9 +8,14 @@ name the benchmark needs that a change renames or removes fails here.
 import ast
 import dataclasses
 import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
-from eastgen import GenerationConfig
+from eastgen import GenerationConfig, generator
+from eastgen.cli import main
+
+from conftest import AIRLINE_CONLL
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -80,3 +85,33 @@ def test_generation_config_keywords_are_fields():
                     unknown.append(f"{name}:{node.lineno}: {keyword.arg}")
     assert keywords
     assert unknown == []
+
+
+def test_generate_calls_the_traced_functions_by_name(tmp_path, monkeypatch):
+    """`traced.py` times `generate_batch` and `emit` by rebinding every
+    `eastgen.*` module attribute that is the function. A `generate` that
+    reached their work some other way would leave those spans at 0, as the
+    `k_nearest` span reads since `generate` stopped calling it, where this
+    test fails."""
+    calls: Counter = Counter()
+    rebound: Counter = Counter()
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "eastgen" or n.startswith("eastgen.")]
+    for original in (generator.generate_batch, generator.emit):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+                    rebound[module.__name__] += 1
+    assert rebound["eastgen.cli"] == 2
+
+    corpus = tmp_path / "train.conll"
+    corpus.write_text(AIRLINE_CONLL, encoding="utf-8")
+    assert main(["build", str(corpus), "--out", str(tmp_path / "trees")]) == 0
+    assert main(["generate", "--trees", str(tmp_path / "trees"), "--corpus", str(corpus),
+                 "--no-embeddings", "--seed", "1", "--out", str(tmp_path / "aug.conll")]) == 0
+    assert calls == {"generate_batch": 1, "emit": 1}
