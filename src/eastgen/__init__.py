@@ -15,8 +15,6 @@ from .corpus import (
     AnnotatedSentence,
     Dataset,
     EntityLexicon,
-    Literal,
-    Placeholder,
     SentenceTemplate,
     abstract_entities,
     build_dataset,
@@ -59,9 +57,7 @@ __all__ = [
     "GeneratedSentence",
     "GenerationConfig",
     "GenerationStats",
-    "Literal",
     "Node",
-    "Placeholder",
     "RegexBundle",
     "SentenceTemplate",
     "abstract_entities",

@@ -2,7 +2,7 @@
 
 Per intent the pipeline is: measure entity occurrence, pick the main
 entities, then build the tree in one pass over the templates. Each template
-is split and cut at its main entities once; the spine is the most common
+is cut at its main entities once; the spine is the most common
 main-entity arrangement; adjacent spine pairs that templates realize in
 both orders are planned as swaps; every template's literal runs merge into
 the regions between spine entities, and the retained counts give the
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, Literal, SentenceTemplate
+from .corpus import Dataset, SentenceTemplate
 from .east import (
     East,
     Node,
@@ -38,10 +38,9 @@ from .east import (
 
 log = logging.getLogger(__name__)
 
-# a run is the material between two spine entities, stored as (labels,
-# phrases): its non-main entity labels and the len(labels) + 1 literal gaps
-# around them, each gap's tokens joined by spaces; "" marks a gap without
-# literals, which is unambiguous because a token is never empty
+# a run is the material between two spine entities: its non-main entity
+# labels and the phrases around them, in SentenceTemplate's (labels, phrases)
+# form
 Run = tuple[tuple[str, ...], tuple[str, ...]]
 _EMPTY: Run = ((), ("",))
 Pairs = frozenset[tuple[str, str]]
@@ -73,7 +72,7 @@ def entity_occurrence(templates: Sequence[SentenceTemplate]) -> dict[str, Fracti
     total = sum(t.source_count for t in templates)
     counts: dict[str, int] = {}
     for template in templates:
-        for label in dict.fromkeys(template.placeholder_labels()):
+        for label in dict.fromkeys(template.labels):
             counts[label] = counts.get(label, 0) + template.source_count
     return {label: Fraction(count, total) for label, count in counts.items()}
 
@@ -92,31 +91,15 @@ def determine_main_entities(occ: dict[str, Fraction], t: float) -> list[str]:
     return above if above else [ranked[0]]
 
 
-def _split(template: SentenceTemplate) -> Run:
-    """The template as one run: all its labels and the phrases around them."""
-    labels: list[str] = []
-    phrases: list[str] = []
-    tokens: list[str] = []
-    for segment in template.segments:
-        if isinstance(segment, Literal):
-            tokens.append(segment.text)
-        else:
-            labels.append(segment.label)
-            phrases.append(" ".join(tokens))
-            tokens = []
-    phrases.append(" ".join(tokens))
-    return tuple(labels), tuple(phrases)
-
-
 def _template_profile(
-    split: Run, main: frozenset[str]
+    template: SentenceTemplate, main: frozenset[str]
 ) -> tuple[tuple[str, ...], tuple[Run, ...]]:
-    """Cut a split template at its main-entity placeholders.
+    """Cut a template at its main-entity placeholders.
 
     Returns the main-entity label sequence and the len(labels)+1 runs of
     material around them (non-main placeholders stay inside runs).
     """
-    labels, phrases = split
+    labels, phrases = template.labels, template.phrases
     cuts = [i for i, label in enumerate(labels) if label in main]
     bounds = [-1, *cuts, len(labels)]
     runs = tuple(
@@ -308,8 +291,7 @@ def _intent_tree(
     counts by the alignment's sentence count.
     """
     main_set = frozenset(main)
-    splits = [_split(t) for t in templates]
-    arrangements, runs = zip(*(_template_profile(split, main_set) for split in splits))
+    arrangements, runs = zip(*(_template_profile(t, main_set) for t in templates))
 
     seq_counts: dict[tuple[str, ...], int] = {}
     for template, labels in zip(templates, arrangements):
@@ -320,22 +302,21 @@ def _intent_tree(
     swaps = _plan_swaps(swapsets, runs)
     # label pairs with no literal between; reversible ones also occur reversed
     adjacent = {
-        pair for labels, phrases in splits
-        for pair, gap in zip(zip(labels, labels[1:]), phrases[1:]) if not gap
+        pair for t in templates
+        for pair, gap in zip(zip(t.labels, t.labels[1:]), t.phrases[1:]) if not gap
     }
     reversible = frozenset((a, b) for a, b in adjacent if a != b and (b, a) in adjacent)
 
     branches: dict[tuple[str, ...], _Alignment] = {}
-    for template, (full, phrases), swapset, template_runs in zip(
-        templates, splits, swapsets, runs
-    ):
+    for template, swapset, template_runs in zip(templates, swapsets, runs):
         if _feeds_spine(swapset, template_runs, swaps):
             spine.add(template_runs, template.source_count)
             continue
-        branch = branches.get(full)
+        branch = branches.get(template.labels)
         if branch is None:
-            branch = branches[full] = _Alignment(full)
-        branch.add(tuple(((), (phrase,)) for phrase in phrases), template.source_count)
+            branch = branches[template.labels] = _Alignment(template.labels)
+        gaps = tuple(((), (phrase,)) for phrase in template.phrases)
+        branch.add(gaps, template.source_count)
 
     # the spine is never empty: a planned swap stays planned only while some
     # template feeding the spine keeps the spine's order at that pair

@@ -27,23 +27,6 @@ FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
-class Literal:
-    """A single surface token outside any entity span."""
-
-    text: str
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    """One entity span, abstracted to its slot label."""
-
-    label: str
-
-
-Segment = Literal | Placeholder
-
-
-@dataclass(frozen=True)
 class AnnotatedSentence:
     """A tokenized utterance with aligned IOB slot tags and an optional intent."""
 
@@ -62,20 +45,31 @@ class AnnotatedSentence:
 
 @dataclass(frozen=True)
 class SentenceTemplate:
-    """An entity-abstracted token sequence; identical templates merge by count."""
+    """An entity-abstracted token sequence; identical templates merge by count.
 
-    segments: tuple[Segment, ...]
+    `labels` holds the slot labels of its entity spans in reading order and
+    `phrases` the len(labels) + 1 literal gaps around them, each gap's
+    tokens joined by single spaces; "" marks a gap without literals, which
+    is unambiguous because a token is never empty.
+    """
+
+    labels: tuple[str, ...]
+    phrases: tuple[str, ...]
     source_count: int = 1
 
-    def placeholder_labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.segments if isinstance(s, Placeholder))
+    def __post_init__(self):
+        if len(self.phrases) != len(self.labels) + 1:
+            raise ValueError(
+                f"{len(self.labels)} labels need {len(self.labels) + 1} phrases, "
+                f"got {len(self.phrases)}"
+            )
 
     def render(self) -> str:
         """Human-readable form with ``<label>`` placeholders."""
-        parts = [
-            s.text if isinstance(s, Literal) else f"<{s.label}>" for s in self.segments
-        ]
-        return " ".join(parts)
+        parts = [self.phrases[0]]
+        for label, phrase in zip(self.labels, self.phrases[1:]):
+            parts += (f"<{label}>", phrase)
+        return " ".join(filter(None, parts))
 
 
 @dataclass
@@ -317,16 +311,19 @@ def abstract_entities(
     if iob_violations(sentence.slots) or not all(map(is_token, sentence.tokens)):
         _check_sentence(sentence, 0)
     pairs: list[tuple[str, str]] = []
-    parts = _walk_spans(sentence.tokens, sentence.slots, pairs)
-    return SentenceTemplate(_segments(parts, {}, {})), pairs
+    labels, phrases = _walk_spans(sentence.tokens, sentence.slots, pairs)
+    return SentenceTemplate(labels, phrases), pairs
 
 
-def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str]:
+def _walk_spans(
+    tokens, slots, pairs: list[tuple[str, str]]
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The span walk of abstract_entities over tags that iob_violations
     accepts. Appends the (label, surface) pairs to `pairs` and returns the
-    template as plain strings: "O" and the text for a literal, the B- tag
-    for a placeholder."""
-    parts: list[str] = []
+    template's labels and phrases."""
+    labels: list[str] = []
+    phrases: list[str] = []
+    gap: list[str] = []
     label = None
     span: list[str] = []
     for token, tag in zip(tokens, slots):
@@ -337,35 +334,17 @@ def _walk_spans(tokens, slots, pairs: list[tuple[str, str]]) -> list[str]:
             pairs.append((label, " ".join(span)))
             label, span = None, []
         if tag == "O":
-            parts.append("O")
-            parts.append(token)
+            gap.append(token)
         else:
             label = tag[2:]
-            parts.append(tag)
+            labels.append(label)
+            phrases.append(" ".join(gap))
+            gap = []
             span.append(token)
     if label is not None:
         pairs.append((label, " ".join(span)))
-    return parts
-
-
-def _segments(
-    parts, literals: dict[str, Literal], placeholders: dict[str, Placeholder]
-) -> tuple[Segment, ...]:
-    """Segments of a template from _walk_spans; the dicts hold the Literal
-    and Placeholder made so far, by text and by tag, for reuse."""
-    segments: list[Segment] = []
-    texts = iter(parts)
-    for part in texts:
-        if part == "O":
-            text = next(texts)
-            if text not in literals:
-                literals[text] = Literal(text)
-            segments.append(literals[text])
-        else:
-            if part not in placeholders:
-                placeholders[part] = Placeholder(part[2:])
-            segments.append(placeholders[part])
-    return tuple(segments)
+    phrases.append(" ".join(gap))
+    return tuple(labels), tuple(phrases)
 
 
 def build_dataset(
@@ -384,10 +363,16 @@ def build_dataset(
         raise EmptyDatasetError("empty dataset")
 
     pairs: list[tuple[str, str]] = []
-    by_intent: dict[str, dict[tuple[str, ...], int]] = {}
+    by_intent: dict[str, dict[tuple[tuple[str, ...], tuple[str, ...]], int]] = {}
     # of the sentences _check_sentence passed; one holding anything unseen is asked
     passed_tags: set[tuple[str, ...]] = set()
     passed_tokens: set[str] = set()
+    shared: dict = {}  # equal strings, and equal tuples of them, share one object
+
+    def share(strings: tuple[str, ...]) -> tuple[str, ...]:
+        strings = tuple(shared.setdefault(s, s) for s in strings)
+        return shared.setdefault(strings, strings)
+
     for index, sentence in enumerate(sentences):
         intent = sentence.intent if sentence.intent is not None else synthetic_intent
         if intent is None:
@@ -400,7 +385,7 @@ def build_dataset(
             _check_sentence(sentence, index)
             passed_tags.add(sentence.slots)
             passed_tokens.update(sentence.tokens)
-        key = tuple(_walk_spans(sentence.tokens, sentence.slots, pairs))
+        key = _walk_spans(sentence.tokens, sentence.slots, pairs)
         group = by_intent.get(intent)
         if group is None:
             if not is_intent(intent):
@@ -409,18 +394,16 @@ def build_dataset(
                     f"malformed synthetic intent {synthetic_intent!r}", index, 0
                 )
             group = by_intent[intent] = {}
-        group[key] = group.get(key, 0) + 1
+        count = group.get(key, 0)
+        if not count:  # a new template keeps its strings and tuples: share them
+            key = share(key[0]), share(key[1])
+        group[key] = count + 1
 
     lexicon = EntityLexicon()
     for (label, surface), count in Counter(pairs).items():  # first-seen order
         lexicon.add(label, surface, count)
-    literals: dict[str, Literal] = {}
-    placeholders: dict[str, Placeholder] = {}
     grouped = {
-        intent: [
-            SentenceTemplate(_segments(key, literals, placeholders), count)
-            for key, count in templates.items()
-        ]
+        intent: [SentenceTemplate(*key, count) for key, count in templates.items()]
         for intent, templates in by_intent.items()
     }
     return Dataset(sentences=sentences, by_intent=grouped, lexicon=lexicon)

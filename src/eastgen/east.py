@@ -49,7 +49,8 @@ class Node:
     phrases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a non-number among the values is left to validate() to report
+        # a non-number among the values, or a phrase that is not a str, is
+        # left to validate() to report
         cum = phrases = ()
         if self.kind == PICKONE:
             weights = [c.weight for c in self.children]
@@ -58,8 +59,9 @@ class Node:
         elif self.kind == FIXED and self.dictionary:
             if all(map(_is_number, self.dictionary.values())):
                 cum = tuple(accumulate(self.dictionary.values()))
-            phrases = tuple((tuple(p.split(" ")), ("O",) * (p.count(" ") + 1))
-                            for p in self.dictionary)
+            if all(isinstance(p, str) for p in self.dictionary):
+                phrases = tuple((tuple(p.split(" ")), ("O",) * (p.count(" ") + 1))
+                                for p in self.dictionary)
         object.__setattr__(self, "cum", cum)
         object.__setattr__(self, "phrases", phrases)
 

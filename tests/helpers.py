@@ -24,8 +24,6 @@ from eastgen import (
     Dataset,
     East,
     EntityLexicon,
-    Literal,
-    Placeholder,
     SentenceTemplate,
     entity,
     exchangeable,
@@ -33,7 +31,7 @@ from eastgen import (
     order,
     pick_one,
 )
-from eastgen.corpus import INTENT_HEADER, Segment, _check_sentence
+from eastgen.corpus import INTENT_HEADER, _check_sentence
 from eastgen.east import ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from eastgen.errors import (
     CorpusParseError,
@@ -110,6 +108,42 @@ def bundle_language(bundle) -> set[str]:
     return lang
 
 
+# --- templates as segments (the oracles' own form) -------------------------
+
+
+@dataclass(frozen=True)
+class Literal:
+    """A single surface token outside any entity span."""
+
+    text: str
+
+
+@dataclass(frozen=True)
+class Placeholder:
+    """One entity span, abstracted to its slot label."""
+
+    label: str
+
+
+Segment = Literal | Placeholder
+
+
+def segments_of(template: SentenceTemplate) -> tuple[Segment, ...]:
+    """The template as segments: a Literal per token, a Placeholder per label."""
+    out = [Literal(t) for t in template.phrases[0].split()]
+    for label, phrase in zip(template.labels, template.phrases[1:]):
+        out.append(Placeholder(label))
+        out.extend(Literal(t) for t in phrase.split())
+    return tuple(out)
+
+
+def render(segments: Iterable[Segment]) -> str:
+    """Human-readable form with ``<label>`` placeholders."""
+    return " ".join(
+        s.text if isinstance(s, Literal) else f"<{s.label}>" for s in segments
+    )
+
+
 # --- exhaustive enumeration (test oracle for traversal semantics) ----------
 
 
@@ -132,7 +166,7 @@ class TemplateLanguage:
 
     def __contains__(self, item) -> bool:
         if isinstance(item, SentenceTemplate):
-            item = item.segments
+            item = segments_of(item)
         return tuple(item) in self.templates
 
     def __len__(self) -> int:
@@ -142,9 +176,7 @@ class TemplateLanguage:
         return iter(self.templates)
 
     def render(self) -> list[str]:
-        return sorted(
-            SentenceTemplate(segments).render() for segments in self.templates
-        )
+        return sorted(map(render, self.templates))
 
 
 def enumerate_language(
@@ -217,12 +249,12 @@ def expand_templates(
 
 
 def reinsert_entities(
-    template: SentenceTemplate, pairs: list[tuple[str, str]]
+    template: tuple[Segment, ...], pairs: list[tuple[str, str]]
 ) -> tuple[str, ...]:
     """Inverse of abstract_entities: fill placeholders with surfaces in order."""
     tokens: list[str] = []
     it: Iterator[tuple[str, str]] = iter(pairs)
-    for segment in template.segments:
+    for segment in template:
         if isinstance(segment, Literal):
             tokens.append(segment.text)
         else:
@@ -531,7 +563,7 @@ def parse_conll_per_line(text: str) -> list[AnnotatedSentence]:
 
 def abstract_entities_per_token(
     sentence: AnnotatedSentence,
-) -> tuple[SentenceTemplate, list[tuple[str, str]]]:
+) -> tuple[tuple[Segment, ...], list[tuple[str, str]]]:
     """The reference span walk: a new segment per token and span."""
     segments = []
     pairs: list[tuple[str, str]] = []
@@ -557,12 +589,13 @@ def abstract_entities_per_token(
         else:  # I- continuation, validated upstream
             span_tokens.append(token)
     close_span()
-    return SentenceTemplate(tuple(segments)), pairs
+    return tuple(segments), pairs
 
 
 def build_dataset_per_segment(sentences, synthetic_intent: str | None = None) -> Dataset:
     """The reference grouping: templates keyed on their segments, each
-    (label, surface) pair added to the lexicon on its own."""
+    (label, surface) pair added to the lexicon on its own. The templates of
+    the returned dataset are (segments, source count) pairs."""
     sentences = list(sentences)
     if not sentences:
         raise EmptyDatasetError("empty dataset")
@@ -577,16 +610,11 @@ def build_dataset_per_segment(sentences, synthetic_intent: str | None = None) ->
                 index,
                 0,
             )
-        template, pairs = abstract_entities_per_token(sentence)
+        segments, pairs = abstract_entities_per_token(sentence)
         group = by_intent.setdefault(intent, {})
-        group[template.segments] = group.get(template.segments, 0) + 1
+        group[segments] = group.get(segments, 0) + 1
         for label, surface in pairs:
             lexicon.add(label, surface)
 
-    grouped = {
-        intent: [
-            SentenceTemplate(segments, count) for segments, count in templates.items()
-        ]
-        for intent, templates in by_intent.items()
-    }
+    grouped = {intent: list(templates.items()) for intent, templates in by_intent.items()}
     return Dataset(sentences=sentences, by_intent=grouped, lexicon=lexicon)

@@ -18,9 +18,7 @@ PUBLIC = {
     "GeneratedSentence",
     "GenerationConfig",
     "GenerationStats",
-    "Literal",
     "Node",
-    "Placeholder",
     "RegexBundle",
     "SentenceTemplate",
     "abstract_entities",

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from eastgen import (
     AnnotatedSentence,
     BuilderConfig,
+    Dataset,
+    EntityLexicon,
     SentenceTemplate,
     build,
     build_dataset,
@@ -14,7 +16,6 @@ from eastgen import (
     parse_conll,
     validate,
 )
-from eastgen.corpus import Literal, Placeholder
 from eastgen.east import (
     ENTITY,
     EXCHANGEABLE,
@@ -23,6 +24,7 @@ from eastgen.east import (
     PICKONE,
     iter_nodes,
 )
+from eastgen.errors import TreeValidationError
 from helpers import enumerate_language
 
 
@@ -62,18 +64,18 @@ class TestEntityOccurrence:
         }
 
     def test_single_template_single_entity(self):
-        template = SentenceTemplate((Placeholder("A"),))
+        template = SentenceTemplate(("A",), ("", ""))
         assert entity_occurrence([template]) == {"A": Fraction(1)}
 
     def test_source_count_weighs_occurrence(self):
         # duplicate template (count 2) plus one different: 3 sentences total
-        doubled = SentenceTemplate((Placeholder("A"),), source_count=2)
-        other = SentenceTemplate((Literal("hi"), Placeholder("B")))
+        doubled = SentenceTemplate(("A",), ("", ""), source_count=2)
+        other = SentenceTemplate(("B",), ("hi", ""))
         occ = entity_occurrence([doubled, other])
         assert occ == {"A": Fraction(2, 3), "B": Fraction(1, 3)}
 
     def test_repeated_label_counts_once_per_template(self):
-        template = SentenceTemplate((Placeholder("A"), Placeholder("A")))
+        template = SentenceTemplate(("A", "A"), ("", "", ""))
         assert entity_occurrence([template]) == {"A": Fraction(1)}
 
 
@@ -249,6 +251,18 @@ class TestDetectExchangeable:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("template, message", [
+        (SentenceTemplate(("a b",), ("go", "")),
+         "root.children[1]: malformed slot label 'a b'"),
+        (SentenceTemplate(("a",), ("go  now", "")), "root.children[0]: malformed phrase 'go  now'"),
+    ], ids=["label", "phrase"])
+    def test_malformed_template_built_in_code_is_named_by_node(self, template, message):
+        """A template built in code is checked on the tree it builds."""
+        dataset = Dataset([], {"i": [template]}, EntityLexicon())
+        with pytest.raises(TreeValidationError) as err:
+            build(dataset)
+        assert str(err.value) == message
+
     def test_airline_end_to_end(self, airline_dataset):
         trees = build(airline_dataset, BuilderConfig(main_entity_threshold=0.5))
         tree = trees["airline"]

@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
-    Literal,
-    Placeholder,
     SentenceTemplate,
     abstract_entities,
     build_dataset,
@@ -29,10 +27,14 @@ from eastgen.errors import (
 
 from conftest import WEATHER_CONLL
 from helpers import (
+    Literal,
+    Placeholder,
     abstract_entities_per_token,
     build_dataset_per_segment,
     parse_conll_per_line,
     reinsert_entities,
+    render,
+    segments_of,
 )
 
 
@@ -231,22 +233,37 @@ class TestAbstractEntities:
         template, pairs = abstract_entities(
             AnnotatedSentence(("just", "words"), ("O", "O"))
         )
-        assert template.segments == (Literal("just"), Literal("words"))
+        assert segments_of(template) == (Literal("just"), Literal("words"))
         assert pairs == []
 
     def test_single_span_sentence(self):
         template, pairs = abstract_entities(
             AnnotatedSentence(("new", "york"), ("B-LOC", "I-LOC"))
         )
-        assert template.segments == (Placeholder("LOC"),)
+        assert segments_of(template) == (Placeholder("LOC"),)
         assert pairs == [("LOC", "new york")]
 
     def test_adjacent_spans_stay_separate(self):
         template, pairs = abstract_entities(
             AnnotatedSentence(("April", "1st"), ("B-month", "B-day"))
         )
-        assert template.segments == (Placeholder("month"), Placeholder("day"))
+        assert segments_of(template) == (Placeholder("month"), Placeholder("day"))
         assert [p[0] for p in pairs] == ["month", "day"]
+
+
+class TestSentenceTemplate:
+    @pytest.mark.parametrize("labels, phrases", [
+        ((), ()), (("x",), ("a",)), ((), ("a", "b")), (("x", "y"), ("", "")),
+    ])
+    def test_phrases_must_surround_the_labels(self, labels, phrases):
+        """A template of the wrong shape would be cut short by the builder."""
+        with pytest.raises(ValueError, match="phrases"):
+            SentenceTemplate(labels, phrases)
+
+    def test_render_skips_empty_phrases(self):
+        template = SentenceTemplate(("x", "y"), ("go to", "", "now"))
+        assert template.render() == "go to <x> <y> now"
+        assert SentenceTemplate((), ("",)).render() == ""
 
 
 class TestBuildDataset:
@@ -312,7 +329,7 @@ class TestBuildDataset:
         with pytest.raises(CorpusValidationError) as err:
             build_dataset([fine, empty])
         assert str(err.value) == "sentence 1, token 0: sentence has no tokens"
-        assert abstract_entities(empty) == (SentenceTemplate(()), [])
+        assert abstract_entities(empty) == (SentenceTemplate((), ("",)), [])
 
     @pytest.mark.parametrize("intent, synthetic_intent, message", [
         ("a\nb", None, "malformed intent 'a\\nb'"),
@@ -382,14 +399,13 @@ def annotated_sentences(draw):
 @given(annotated_sentences())
 def test_reinsertion_round_trip(sentence):
     template, pairs = abstract_entities(sentence)
-    assert reinsert_entities(template, pairs) == sentence.tokens
+    assert reinsert_entities(segments_of(template), pairs) == sentence.tokens
 
 
 @given(annotated_sentences())
 def test_placeholder_count_equals_begin_tags(sentence):
     template, _ = abstract_entities(sentence)
-    placeholders = sum(1 for s in template.segments if isinstance(s, Placeholder))
-    assert placeholders == sum(1 for t in sentence.slots if t.startswith("B-"))
+    assert len(template.labels) == sum(1 for t in sentence.slots if t.startswith("B-"))
 
 
 @given(st.lists(annotated_sentences(), min_size=1, max_size=8), st.randoms())
@@ -399,7 +415,7 @@ def test_build_dataset_permutation_insensitive(sentences, rng):
 
     def key(dataset):
         return sorted(
-            (intent, repr(t.segments), t.source_count)
+            (intent, t.labels, t.phrases, t.source_count)
             for intent, templates in dataset.by_intent.items()
             for t in templates
         ), sorted(
@@ -409,6 +425,19 @@ def test_build_dataset_permutation_insensitive(sentences, rng):
         )
 
     assert key(build_dataset(sentences)) == key(build_dataset(shuffled))
+
+
+@given(st.lists(annotated_sentences(), min_size=1, max_size=8))
+def test_templates_match_the_per_token_walk(sentences):
+    expected: dict[str, dict] = {}  # distinct segments per intent, first seen first
+    for sentence in sentences:
+        segments, _ = abstract_entities_per_token(sentence)
+        expected.setdefault(sentence.intent, {})[segments] = None
+    built = build_dataset(sentences).by_intent
+    assert list(built) == list(expected)
+    for intent, templates in built.items():
+        assert [segments_of(t) for t in templates] == list(expected[intent])
+        assert [t.render() for t in templates] == list(map(render, expected[intent]))
 
 
 @given(annotated_sentences())
@@ -465,10 +494,13 @@ def outcome(function, *args):
         return "raised", type(exc), str(exc)
 
 
-def dataset_in_order(dataset):
+def dataset_in_order(dataset, as_pair=lambda t: (segments_of(t), t.source_count)):
+    """Sentences, templates as (segments, source count) pairs by intent, and
+    lexicon, in order; `as_pair` turns a template of the dataset into its pair
+    (build_dataset_per_segment's templates are such pairs already)."""
     return (
         dataset.sentences,
-        [(intent, [(t.segments, t.source_count) for t in templates])
+        [(intent, list(map(as_pair, templates)))
          for intent, templates in dataset.by_intent.items()],
         [(label, list(forms.items())) for label, forms in dataset.lexicon.entries.items()],
     )
@@ -483,11 +515,12 @@ def test_ingestion_matches_the_per_line_reference(text, synthetic_intent):
         return
     sentences = parsed[1]
     for sentence in sentences:
-        assert abstract_entities(sentence) == abstract_entities_per_token(sentence)
+        template, pairs = abstract_entities(sentence)
+        assert (segments_of(template), pairs) == abstract_entities_per_token(sentence)
     built = outcome(build_dataset, sentences, synthetic_intent)
     expected = outcome(build_dataset_per_segment, sentences, synthetic_intent)
     if built[0] == "ok" and expected[0] == "ok":
-        assert dataset_in_order(built[1]) == dataset_in_order(expected[1])
+        assert dataset_in_order(built[1]) == dataset_in_order(expected[1], as_pair=tuple)
     else:
         assert built == expected
 

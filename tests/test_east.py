@@ -10,8 +10,6 @@ from eastgen import (
     EntityLexicon,
     GenerationConfig,
     Node,
-    Literal,
-    Placeholder,
     deserialize,
     entity,
     exchangeable,
@@ -32,11 +30,14 @@ from eastgen.errors import (
 
 from helpers import (
     LanguageSizeExceeded,
+    Literal,
+    Placeholder,
     TemplateLanguage,
     enumerate_language,
     expand_templates,
     random_tree,
     random_tree_with_budget,
+    segments_of,
     structural_path_count,
 )
 
@@ -142,6 +143,12 @@ class TestValidate:
         assert validate(tree) == [f"root.children[0]: malformed phrase {phrase!r}"]
         with pytest.raises(TreeValidationError):
             deserialize(serialize(tree))
+
+    @pytest.mark.parametrize("phrase", [1, None, ("a",)])
+    def test_phrase_that_is_not_a_str_is_a_violation(self, phrase):
+        """Once an AttributeError from Node's constructor."""
+        tree = East("x", order(fixed({phrase: 1})))
+        assert validate(tree) == [f"root.children[0]: malformed phrase {phrase!r}"]
 
     @pytest.mark.parametrize("slot", ["city name", "city\tname", " city", "city\n"])
     def test_slot_label_must_be_one_token(self, slot):
@@ -499,7 +506,7 @@ class TestEnumerateLanguage:
 
     def test_membership_accepts_templates(self, airline_dataset):
         language = TemplateLanguage(
-            frozenset({t.segments for t in airline_dataset.by_intent["airline"]})
+            frozenset({segments_of(t) for t in airline_dataset.by_intent["airline"]})
         )
         for template in airline_dataset.by_intent["airline"]:
             assert template in language
