@@ -37,7 +37,6 @@ from .east import (
 from .embeddings import EmbeddingTable, k_nearest, load_embeddings
 from .errors import EastgenError
 from .generator import (
-    GeneratedSentence,
     GenerationConfig,
     GenerationStats,
     emit,
@@ -54,7 +53,6 @@ __all__ = [
     "EastgenError",
     "EmbeddingTable",
     "EntityLexicon",
-    "GeneratedSentence",
     "GenerationConfig",
     "GenerationStats",
     "Node",

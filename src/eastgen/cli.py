@@ -39,7 +39,6 @@ from .errors import (
 )
 from .generator import (
     GenerationConfig,
-    GenerationStats,
     OUTPUT_FORMATS,
     emit,
     generate_batch,
@@ -280,10 +279,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         weighted_lexicon=args.weighted_lexicon,
         neighbors_within_lexicon=args.neighbors_from_lexicon,
     )
-    stats = GenerationStats()
-    sentences = generate_batch(
-        trees, dataset, config, table, lexicon=lexicon, stats=stats
-    )
+    sentences = generate_batch(trees, dataset, config, table, lexicon=lexicon)
     del table  # frees the matrix before emit renders the texts
 
     out = Path(args.out)
@@ -291,7 +287,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         emit(sentences, handle, args.format)
     stats_path = out.with_name(out.name + ".stats.json")
     with _atomic_write(stats_path) as handle:
-        handle.write(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
+        handle.write(json.dumps(sentences.stats.to_dict(), indent=2, sort_keys=True) + "\n")
 
     _write_manifest(out.with_name(out.name + ".manifest.json"), args, [out, stats_path])
     print(f"generated {len(sentences)} sentence(s) -> {out}")

@@ -63,6 +63,8 @@ class SentenceTemplate:
                 f"{len(self.labels)} labels need {len(self.labels) + 1} phrases, "
                 f"got {len(self.phrases)}"
             )
+        if not is_count(self.source_count):
+            raise ValueError(f"source_count {self.source_count!r} is not an integer >= 1")
 
     def render(self) -> str:
         """Human-readable form with ``<label>`` placeholders."""
@@ -108,6 +110,33 @@ def is_intent(text) -> bool:
     return isinstance(text, str) and text.strip().splitlines() == [text]
 
 
+def is_count(value) -> bool:
+    """An int of at least 1 that is not a bool: a count or a size."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def check_lexicon_entry(label, forms) -> None:
+    """Raise EastgenError unless `label` passes is_token and `forms` is a
+    {form: count} dict of is_phrase forms, which re-parse as the tokens they
+    hold, and is_count counts whose total is in the float range weighted draws use."""
+    if not is_token(label):
+        raise EastgenError(f"lexicon: malformed label {label!r}")
+    if not isinstance(forms, dict):
+        raise EastgenError(f"lexicon: {label!r}: expected an object of {{form: count}}")
+    for form, count in forms.items():
+        if not is_phrase(form):
+            raise EastgenError(
+                f"lexicon: {label!r} form {form!r}: not single-space-joined tokens"
+            )
+        if not is_count(count):
+            raise EastgenError(
+                f"lexicon: {label!r} form {form!r}: count {count!r} "
+                "is not an integer >= 1"
+            )
+    if sum(forms.values()) > FLOAT_MAX:
+        raise EastgenError(f"lexicon: {label!r}: counts total beyond the float range")
+
+
 def json_fault(exc: ValueError | RecursionError) -> str:
     """Describe why json.loads failed: bad syntax, nesting too deep for the
     decoder, or an integer literal too long to convert."""
@@ -119,12 +148,8 @@ def json_fault(exc: ValueError | RecursionError) -> str:
 
 
 def parse_lexicon(text: str) -> EntityLexicon:
-    """Parse a lexicon document: a JSON object of {label: {form: count}}.
-
-    Labels must pass is_token, forms is_phrase, and counts be integers of
-    at least 1, so that every form emitted from the lexicon re-parses as the
-    tokens it holds.
-    """
+    """Parse a lexicon document: a JSON object of {label: {form: count}},
+    each of whose entries must pass check_lexicon_entry."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -133,23 +158,9 @@ def parse_lexicon(text: str) -> EntityLexicon:
         raise EastgenError("lexicon: expected an object of {label: {form: count}}")
     lexicon = EntityLexicon()
     for label, forms in doc.items():
-        if not is_token(label):
-            raise EastgenError(f"lexicon: malformed label {label!r}")
-        if not isinstance(forms, dict):
-            raise EastgenError(f"lexicon: {label!r}: expected an object of {{form: count}}")
+        check_lexicon_entry(label, forms)
         for form, count in forms.items():
-            if not is_phrase(form):
-                raise EastgenError(
-                    f"lexicon: {label!r} form {form!r}: not single-space-joined tokens"
-                )
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise EastgenError(
-                    f"lexicon: {label!r} form {form!r}: count {count!r} "
-                    "is not an integer >= 1"
-                )
             lexicon.add(label, form, count)
-        if sum(forms.values()) > FLOAT_MAX:  # weighted draws use the float total
-            raise EastgenError(f"lexicon: {label!r}: counts total beyond the float range")
     return lexicon
 
 

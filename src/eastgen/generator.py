@@ -14,13 +14,14 @@ One interpreter walks each tree's nodes, reading the cumulative weights
 and pre-split phrases every `Node` derives when it is built; the entity
 fill tables and kNN pools it draws from are built once per batch, in
 each process that samples it.
-Only `generate_one` records provenance (the branch choices taken).
+A draw is the `AnnotatedSentence` that parsing returns. Only
+`generate_one` records provenance (the branch choices taken).
 
 A large batch draws most of its sentences many times, so it stays indexed
 from sampling to the file: `generate_batch` returns a `Batch`, which holds
 each intent's distinct sentences and one 4-byte index per draw, and `emit`
 renders each distinct sentence once and writes the draws by index, a
-chunk of texts per write.
+chunk of texts per write. The batch's `stats` are counted from its parts.
 
 Each intent draws from its own stream, so `generate_batch` may sample
 whole intents in parallel: it splits them into one share per CPU, samples
@@ -54,14 +55,15 @@ import signal
 import threading
 from array import array
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, TextIO
 
-from .corpus import INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon
+from .corpus import (
+    INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon, check_lexicon_entry, is_count,
+)
 from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
 from .embeddings import EmbeddingTable, k_nearest_block
 from .errors import MissingLexiconError, MissingTrainingSizeError
@@ -90,31 +92,22 @@ class GenerationConfig:
     neighbors_within_lexicon: bool = False  # search neighbors in the slot lexicon only
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.factor < 1:
-            raise ValueError("factor must be >= 1")
-        if self.count is not None and self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name in ("k", "factor", "count"):
+            value = getattr(self, name)
+            if not (is_count(value) or name == "count" and value is None):
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
-class GeneratedSentence(NamedTuple):
-    tokens: tuple[str, ...]
-    slots: tuple[str, ...]
-    intent: str
-    provenance: tuple[str, ...]  # branch choices; recorded by generate_one only
-
-
-@dataclass
+@dataclass(frozen=True)
 class GenerationStats:
     """One batch's sidecar: per-intent counts plus substitution bookkeeping."""
 
-    sentences_per_intent: Counter = field(default_factory=Counter)
-    knn_fills: int = 0
-    oov_bypasses: int = 0
-    multi_token_bypasses: int = 0
-    total: int = 0
-    distinct: int = 0
+    sentences_per_intent: dict[str, int]
+    knn_fills: int
+    oov_bypasses: int
+    multi_token_bypasses: int
+    total: int
+    distinct: int
 
     @property
     def duplicate_rate(self) -> float:
@@ -136,20 +129,21 @@ class Batch(Sequence):
 
     `parts` holds, per intent in sorted order, the distinct sentences in
     first-drawn order and an array("I") with the index into them of every
-    draw, so a draw costs 4 bytes and repeats share one object. The batch
-    cannot be changed; slicing it or adding it to a list gives a list, and
-    it equals any list or batch with the same sentences in the same order.
+    draw, so a draw costs 4 bytes and repeats share one object; `stats`
+    counts them. The batch cannot be changed; slicing it or adding it to a
+    list gives a list, and it equals any list or batch with the same
+    sentences in the same order, whatever its stats.
     """
 
-    __slots__ = ("parts", "_len")
+    __slots__ = ("parts", "stats")
     __hash__ = None  # unhashable, like the list it stands for
 
-    def __init__(self, parts: Iterable[tuple[list[GeneratedSentence], array]]):
-        self.parts = tuple(parts)
-        self._len = sum(len(draws) for _, draws in self.parts)
+    def __init__(self, parts: tuple[tuple[list, array], ...], stats: GenerationStats):
+        self.parts = parts
+        self.stats = stats
 
     def __len__(self) -> int:
-        return self._len
+        return self.stats.total
 
     def __iter__(self):
         for distinct, draws in self.parts:
@@ -160,8 +154,8 @@ class Batch(Sequence):
             return list(self)[i]
         i = operator.index(i)
         if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
+            i += len(self)
+        if not 0 <= i < len(self):
             raise IndexError("batch index out of range")
         for distinct, draws in self.parts:
             if i < len(draws):
@@ -210,6 +204,7 @@ class _Fills:
         counter = self.lexicon.entries.get(slot)
         if not counter:
             raise MissingLexiconError(slot)
+        check_lexicon_entry(slot, counter)
         forms = [tuple(form.split(" ")) for form in counter]
         entry = self.forms[slot] = (
             tuple(accumulate(counter.values())),
@@ -326,13 +321,13 @@ def generate_one(
     table: EmbeddingTable | None,
     config: GenerationConfig,
     rng: random.Random,
-) -> GeneratedSentence:
-    """Sample one labeled sentence by a weighted traversal of the tree,
-    recording its provenance."""
+) -> tuple[AnnotatedSentence, tuple[str, ...]]:
+    """Sample one labeled sentence by a weighted traversal of the tree, and
+    return it with its provenance: the branch choices taken."""
     prov: list[str] = []
     fills = _Fills(lexicon, table, config)
     tokens, tags = _interpret(tree.root, fills, rng, prov)
-    return GeneratedSentence(tuple(tokens), tuple(tags), tree.intent, tuple(prov))
+    return AnnotatedSentence(tuple(tokens), tuple(tags), tree.intent), tuple(prov)
 
 
 def _intent_seed(seed: int, intent: str) -> int:
@@ -341,7 +336,7 @@ def _intent_seed(seed: int, intent: str) -> int:
 
 
 def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
-                   ) -> tuple[list[GeneratedSentence], array]:
+                   ) -> tuple[list[AnnotatedSentence], array]:
     """Draw `n` sentences of one intent from its own stream, seeded by
     (seed, intent). Returns the distinct sentences in first-drawn order and
     the index into them of every draw."""
@@ -352,7 +347,7 @@ def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
     for _ in range(n):
         tokens, tags = _interpret(root, fills, rng, None)
         draws.append(index.setdefault((tuple(tokens), tuple(tags)), len(index)))
-    distinct = [GeneratedSentence(tokens, tags, tree.intent, ()) for tokens, tags in index]
+    distinct = [AnnotatedSentence(tokens, tags, tree.intent) for tokens, tags in index]
     return distinct, draws
 
 
@@ -450,7 +445,6 @@ def generate_batch(
     table: EmbeddingTable | None = None,
     *,
     lexicon: EntityLexicon | None = None,
-    stats: GenerationStats | None = None,
 ) -> Batch:
     """Sample `factor` times each intent's training size (or `count` each).
 
@@ -458,12 +452,8 @@ def generate_batch(
     (seed, intent), so output is fully determined by the config seed and
     independent of tree-map ordering and of how many CPUs sample it.
     Duplicates are legitimate samples, and equal draws of an intent share
-    one object (see Batch). A `stats` object describes one batch: its
-    distinct count cannot be added up over batches, so one that has already
-    counted sentences is a ValueError.
+    one object (see Batch). The batch's `stats` count its draws.
     """
-    if stats is not None and stats.total:
-        raise ValueError("a GenerationStats describes one batch; pass a fresh one")
     if lexicon is None:
         if dataset is None:
             raise ValueError("either a dataset or a lexicon is required")
@@ -487,27 +477,26 @@ def generate_batch(
     if missing is not None:
         raise MissingTrainingSizeError(missing)
 
-    batch = Batch(results[intent] for intent in counts)
-    stats = stats if stats is not None else GenerationStats()
-    for intent, n in counts.items():
-        stats.sentences_per_intent[intent] += n
-    # forked children draw without a table, so their substitution counts are 0
-    stats.knn_fills = fills.knn_fills
-    stats.oov_bypasses = fills.oov_bypasses
-    stats.multi_token_bypasses = fills.multi_token_bypasses
-    stats.total = len(batch)
-    # sentences of two intents never compare equal
-    stats.distinct = sum(len(distinct) for distinct, _ in batch.parts)
-    return batch
+    parts = tuple(results[intent] for intent in counts)
+    return Batch(parts, GenerationStats(
+        sentences_per_intent=dict(counts),
+        # forked children draw without a table, so their substitution counts are 0
+        knn_fills=fills.knn_fills,
+        oov_bypasses=fills.oov_bypasses,
+        multi_token_bypasses=fills.multi_token_bypasses,
+        total=sum(len(draws) for _, draws in parts),
+        # sentences of two intents never compare equal
+        distinct=sum(len(distinct) for distinct, _ in parts),
+    ))
 
 
-def _render_conll(s: GeneratedSentence | AnnotatedSentence) -> str:
+def _render_conll(s: AnnotatedSentence) -> str:
     head = f"{INTENT_HEADER} {s.intent}\n" if s.intent is not None else ""
     lines = [f"{token}\t{tag}\n" for token, tag in zip(s.tokens, s.slots)]
     return head + "".join(lines) + "\n"
 
 
-def _render_record(s: GeneratedSentence | AnnotatedSentence) -> str:
+def _render_record(s: AnnotatedSentence) -> str:
     # the bytes of json.dumps(record, ensure_ascii=False), which quotes each
     # str with encode_basestring
     tokens = ", ".join(map(encode_basestring, s.tokens))
@@ -520,7 +509,7 @@ _RENDERERS = {"conll": _render_conll, "records": _render_record}
 
 
 def emit(
-    sentences: Iterable[GeneratedSentence | AnnotatedSentence],
+    sentences: Iterable[AnnotatedSentence],
     sink: TextIO,
     fmt: str,
 ) -> None:

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
-from .corpus import INTENT_HEADER, EntityLexicon, is_intent, is_token, json_fault
+from .corpus import (
+    INTENT_HEADER, EntityLexicon, check_lexicon_entry, is_intent, is_token, json_fault,
+)
 from .east import (
     East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, may_expand_empty,
 )
@@ -70,9 +72,10 @@ class _Lowering:
         if node.kind == FIXED:
             return _alternation(sorted(_escape(p) for p in node.dictionary))
         if node.kind == ENTITY:
-            forms = self.lexicon.forms(node.slot)
+            forms = self.lexicon.entries.get(node.slot)
             if not forms:
                 raise MissingLexiconError(node.slot)
+            check_lexicon_entry(node.slot, forms)
             name = f"g{len(self.groups)}"
             self.groups[name] = node.slot
             return f"(?P<{name}>" + "|".join(_escape(f) for f in sorted(forms)) + ")"

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from eastgen import (
-    AnnotatedSentence,
     GenerationConfig,
     abstract_entities,
     build,
@@ -141,8 +140,7 @@ def test_reconstruction_completeness_at_scale():
     sentences = generate_batch(trees, None, config, lexicon=lexicon)
     assert len(sentences) == 500
 
-    corpus = [AnnotatedSentence(s.tokens, s.slots, s.intent) for s in sentences]
-    dataset = build_dataset(corpus)
+    dataset = build_dataset(sentences)
     rebuilt = build(dataset)
 
     missing = 0
@@ -179,7 +177,7 @@ def test_distributional_correctness():
         rng = random.Random(i)
         counts: Counter = Counter()
         for _ in range(draws):
-            counts[generate_one(tree, lexicon, None, config, rng).provenance] += 1
+            counts[generate_one(tree, lexicon, None, config, rng)[1]] += 1
         observed = {path: n / draws for path, n in counts.items()}
         worst = max(worst, total_variation(exact, observed))
     elapsed = time.perf_counter() - start

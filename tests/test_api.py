@@ -15,7 +15,6 @@ PUBLIC = {
     "EastgenError",
     "EmbeddingTable",
     "EntityLexicon",
-    "GeneratedSentence",
     "GenerationConfig",
     "GenerationStats",
     "Node",

@@ -5,10 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from eastgen import (
     AnnotatedSentence,
+    East,
+    EntityLexicon,
+    GenerationConfig,
     SentenceTemplate,
     abstract_entities,
     build_dataset,
+    entity,
+    export_regex,
+    fixed,
+    generate_batch,
+    order,
     parse_conll,
+    parse_lexicon,
     parse_records,
 )
 from eastgen.corpus import (
@@ -260,10 +269,58 @@ class TestSentenceTemplate:
         with pytest.raises(ValueError, match="phrases"):
             SentenceTemplate(labels, phrases)
 
+    @pytest.mark.parametrize("count", [0, -1, 1.5, True])
+    def test_source_count_must_be_an_int_of_at_least_1(self, count):
+        """build divides by a group's summed counts: 0 ended there in
+        ZeroDivisionError, and 1.5 in TypeError."""
+        with pytest.raises(ValueError, match="source_count"):
+            SentenceTemplate(("a",), ("go", ""), count)
+
     def test_render_skips_empty_phrases(self):
         template = SentenceTemplate(("x", "y"), ("go to", "", "now"))
         assert template.render() == "go to <x> <y> now"
         assert SentenceTemplate((), ("",)).render() == ""
+
+
+class TestLexiconEntry:
+    """One rule for a {label: {form: count}} entry, in a lexicon file or
+    built in code."""
+
+    @pytest.mark.parametrize("label, forms, message", [
+        ("a b", {"x": 1}, "lexicon: malformed label 'a b'"),
+        ("city", ["x"], "lexicon: 'city': expected an object of {form: count}"),
+        ("city", {"x": 1, "": 1}, "lexicon: 'city' form '': not single-space-joined tokens"),
+        ("city", {"a  b": 1}, "lexicon: 'city' form 'a  b': not single-space-joined tokens"),
+        ("city", {"x": 0}, "lexicon: 'city' form 'x': count 0 is not an integer >= 1"),
+        ("city", {"x": True}, "lexicon: 'city' form 'x': count True is not an integer >= 1"),
+        ("city", {"x": 1.5}, "lexicon: 'city' form 'x': count 1.5 is not an integer >= 1"),
+    ])
+    def test_parse_lexicon_names_the_fault(self, label, forms, message):
+        with pytest.raises(EastgenError) as err:
+            parse_lexicon(json.dumps({label: forms}))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("forms, message", [
+        ({"oslo": 1, "": 1, "a  b": 1}, "form '': not single-space-joined tokens"),
+        ({"oslo": 1, "a  b": 1}, "form 'a  b': not single-space-joined tokens"),
+        ({"oslo": 0, "rome": 0}, "form 'oslo': count 0 is not an integer >= 1"),
+        ({"oslo": 1.5}, "form 'oslo': count 1.5 is not an integer >= 1"),
+    ])
+    def test_sampling_and_export_check_a_lexicon_built_in_code(self, forms, message):
+        """The forms '' and 'a  b' were sampled and written as the lines
+        '\tB-city' and '\tI-city', which parse_conll rejects; with counts of
+        0, every weighted draw took the last form."""
+        lexicon = EntityLexicon()
+        for form, count in forms.items():
+            lexicon.add("city", form, count)
+        tree = East("x", order(fixed({"to": 1}), entity("city")))
+        config = GenerationConfig(seed=1, count=5, use_embeddings=False,
+                                  weighted_lexicon=True)
+        for use in (lambda: generate_batch({"x": tree}, None, config, lexicon=lexicon),
+                    lambda: export_regex(tree, lexicon)):
+            with pytest.raises(EastgenError) as err:
+                use()
+            assert str(err.value) == "lexicon: 'city' " + message
 
 
 class TestBuildDataset:

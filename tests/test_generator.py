@@ -6,6 +6,7 @@ import pickle
 import random
 import time
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,6 @@ from eastgen import (
     AnnotatedSentence,
     East,
     EntityLexicon,
-    GeneratedSentence,
     GenerationConfig,
     GenerationStats,
     abstract_entities,
@@ -56,16 +56,15 @@ def cfg(**kwargs) -> GenerationConfig:
 class TestGenerateOne:
     def test_deterministic_single_phrase(self):
         tree = East("x", order(fixed({"hi": 1})))
-        s = generate_one(tree, EntityLexicon(), None, cfg(), random.Random(1))
-        assert s.tokens == ("hi",)
-        assert s.slots == ("O",)
-        assert s.intent == "x"
+        s, provenance = generate_one(tree, EntityLexicon(), None, cfg(), random.Random(1))
+        assert s == AnnotatedSentence(("hi",), ("O",), "x")
+        assert provenance == ("phrase:0",)
 
     def test_entity_fill_and_tagging(self):
         tree = East("x", order(fixed({"fly to": 1}), entity("city_name")))
         lexicon = EntityLexicon()
         lexicon.add("city_name", "Beijing")
-        s = generate_one(tree, lexicon, None, cfg(), random.Random(1))
+        s, _ = generate_one(tree, lexicon, None, cfg(), random.Random(1))
         assert s.tokens == ("fly", "to", "Beijing")
         assert s.slots == ("O", "O", "B-city_name")
 
@@ -73,7 +72,7 @@ class TestGenerateOne:
         tree = East("x", order(entity("city")))
         lexicon = EntityLexicon()
         lexicon.add("city", "san francisco")
-        s = generate_one(tree, lexicon, None, cfg(), random.Random(1))
+        s, _ = generate_one(tree, lexicon, None, cfg(), random.Random(1))
         assert s.tokens == ("san", "francisco")
         assert s.slots == ("B-city", "I-city")
 
@@ -87,7 +86,7 @@ class TestGenerateOne:
         tree = East("x", order(fixed({"a": 1}), fixed({"b": 1}, dropout=0.5)))
         rng = random.Random(5)
         lengths = {
-            len(generate_one(tree, EntityLexicon(), None, cfg(), rng).tokens)
+            len(generate_one(tree, EntityLexicon(), None, cfg(), rng)[0].tokens)
             for _ in range(50)
         }
         assert lengths == {1, 2}
@@ -96,7 +95,7 @@ class TestGenerateOne:
         tree = East("x", order(fixed({"a": 1}), fixed({"b": 1}, dropout=0.9)))
         rng = random.Random(5)
         for _ in range(30):
-            s = generate_one(tree, EntityLexicon(), None, cfg(apply_dropout=False), rng)
+            s, _ = generate_one(tree, EntityLexicon(), None, cfg(apply_dropout=False), rng)
             assert s.tokens == ("a", "b")
 
     def test_entity_never_dropped(self):
@@ -105,7 +104,18 @@ class TestGenerateOne:
         lexicon.add("city", "oslo")
         rng = random.Random(5)
         for _ in range(30):
-            assert "oslo" in generate_one(tree, lexicon, None, cfg(), rng).tokens
+            assert "oslo" in generate_one(tree, lexicon, None, cfg(), rng)[0].tokens
+
+
+class TestGenerationConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("k", 0), ("k", 2.5), ("k", True), ("k", "5"), ("factor", 0), ("factor", 2.5),
+        ("factor", True), ("factor", None), ("count", 0), ("count", 1.5), ("count", True),
+    ])
+    def test_a_size_that_is_not_an_int_of_at_least_1_is_rejected(self, name, value):
+        """count=1.5 ended in TypeError from range, and True or 2.5 passed."""
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 1, got {value!r}$"):
+            cfg(**{name: value})
 
 
 class TestEmbeddingSubstitution:
@@ -124,7 +134,7 @@ class TestEmbeddingSubstitution:
         rng = random.Random(3)
         seen = set()
         for _ in range(1000):
-            s = generate_one(tree, lexicon, table, config, rng)
+            s, _ = generate_one(tree, lexicon, table, config, rng)
             assert len(s.tokens) == 1
             assert s.slots == ("B-city",)
             seen.add(s.tokens[0])
@@ -135,26 +145,24 @@ class TestEmbeddingSubstitution:
         tree = East("x", order(entity("city")))
         lexicon = EntityLexicon()
         lexicon.add("city", "zzz-not-in-table")
-        stats = GenerationStats()
         dataset = None
         out = generate_batch(
             {"x": tree}, dataset, cfg(use_embeddings=True, count=20), table,
-            lexicon=lexicon, stats=stats,
+            lexicon=lexicon,
         )
         assert all(s.tokens == ("zzz-not-in-table",) for s in out)
-        assert stats.oov_bypasses == 20
+        assert out.stats.oov_bypasses == 20
 
     def test_multi_token_candidate_bypasses_knn(self, table):
         tree = East("x", order(entity("city")))
         lexicon = EntityLexicon()
         lexicon.add("city", "san francisco")
-        stats = GenerationStats()
         out = generate_batch(
             {"x": tree}, None, cfg(use_embeddings=True, count=10), table,
-            lexicon=lexicon, stats=stats,
+            lexicon=lexicon,
         )
         assert all(s.tokens == ("san", "francisco") for s in out)
-        assert stats.multi_token_bypasses == 10
+        assert out.stats.multi_token_bypasses == 10
 
     def test_neighbors_restricted_to_lexicon(self, table):
         tree = East("x", order(entity("city")))
@@ -164,7 +172,7 @@ class TestEmbeddingSubstitution:
         config = cfg(use_embeddings=True, neighbors_within_lexicon=True)
         rng = random.Random(4)
         for _ in range(200):
-            s = generate_one(tree, lexicon, table, config, rng)
+            s, _ = generate_one(tree, lexicon, table, config, rng)
             assert s.tokens[0] in {"tok0001", "tok0002", "tok0003"}
 
 
@@ -180,10 +188,8 @@ class TestEmbeddingSubstitution:
         runs = []
         for size in (1, 16, 1000):
             monkeypatch.setattr(generator, "QUERY_BLOCK", size)
-            stats = GenerationStats()
-            out = generate_batch({"x": tree}, None, config, table, lexicon=lexicon,
-                                 stats=stats)
-            runs.append((out, stats.to_dict()))
+            out = generate_batch({"x": tree}, None, config, table, lexicon=lexicon)
+            runs.append((out, out.stats.to_dict()))
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1]["knn_fills"] > 0
 
@@ -200,7 +206,7 @@ class TestDistribution:
         rng = random.Random(1234)
         counts = Counter()
         for _ in range(30_000):
-            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng).tokens] += 1
+            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng)[0].tokens] += 1
         assert counts[("a",)] / 30_000 == pytest.approx(2 / 3, abs=0.02)
         assert counts[("b",)] / 30_000 == pytest.approx(1 / 3, abs=0.02)
 
@@ -213,7 +219,7 @@ class TestDistribution:
         counts = Counter()
         n = 30_000
         for _ in range(n):
-            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng).tokens] += 1
+            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng)[0].tokens] += 1
         assert len(counts) == 6
         for freq in counts.values():
             assert freq / n == pytest.approx(1 / 6, abs=0.02)
@@ -223,7 +229,7 @@ class TestDistribution:
         rng = random.Random(999)
         counts = Counter()
         for _ in range(20_000):
-            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng).tokens] += 1
+            counts[generate_one(tree, EntityLexicon(), None, cfg(), rng)[0].tokens] += 1
         assert counts[("a",)] / 20_000 == pytest.approx(0.75, abs=0.02)
 
     def test_weighted_lexicon_follows_counts(self):
@@ -236,7 +242,7 @@ class TestDistribution:
             rng = random.Random(5)
             config = cfg(weighted_lexicon=weighted)
             oslo = sum(
-                generate_one(tree, lexicon, None, config, rng).tokens == ("oslo",)
+                generate_one(tree, lexicon, None, config, rng)[0].tokens == ("oslo",)
                 for _ in range(n)
             )
             assert oslo / n == pytest.approx(expected, abs=0.02)
@@ -252,7 +258,7 @@ class TestDistribution:
         empirical: Counter = Counter()
         n = 30_000
         for _ in range(n):
-            empirical[generate_one(tree, lexicon, None, config, rng).provenance] += 1
+            empirical[generate_one(tree, lexicon, None, config, rng)[1]] += 1
         observed = {path: count / n for path, count in empirical.items()}
         assert set(observed) <= set(exact)
         assert total_variation(exact, observed) < 0.02
@@ -304,30 +310,38 @@ class TestBatch:
 
     def test_stats_sidecar(self, tiny_dataset):
         trees = build(tiny_dataset)
-        stats = GenerationStats()
-        out = generate_batch(trees, tiny_dataset, cfg(factor=2), stats=stats)
-        assert stats.total == len(out) == 6
-        assert stats.sentences_per_intent == {"greet": 4, "go": 2}
-        assert 0.0 <= stats.duplicate_rate < 1.0
+        out = generate_batch(trees, tiny_dataset, cfg(factor=2))
+        assert out.stats.total == len(out) == 6
+        assert out.stats.sentences_per_intent == {"greet": 4, "go": 2}
+        assert 0.0 <= out.stats.duplicate_rate < 1.0
 
     def test_a_stats_object_describes_one_batch(self):
-        """Counted into one object, two batches gave total 2000 against the
-        second batch's 353 distinct sentences (rate 0.8235), where the two
-        hold 501 (0.7495); so an object that has counted a batch is refused."""
+        """Counted into one object, two batches once gave total 2000 against
+        the second batch's 353 distinct sentences (rate 0.8235), where the two
+        hold 501 (0.7495); each batch now counts its own draws alone."""
         trees, lexicon = ground_truth_world()
-        batches, stats = [], GenerationStats()
-        for seed in (1, 2):
-            fresh = GenerationStats()
-            batches.append(generate_batch(trees, None, cfg(count=200, seed=seed),
-                                          lexicon=lexicon, stats=fresh))
-            assert fresh.total == 1000
-            assert fresh.duplicate_rate == 1 - len(set(batches[-1])) / 1000
+        batches = [generate_batch(trees, None, cfg(count=200, seed=seed), lexicon=lexicon)
+                   for seed in (1, 2)]
+        for batch, distinct in zip(batches, (343, 353)):
+            assert batch.stats.total == 1000
+            assert batch.stats.distinct == len(set(batch)) == distinct
+            assert batch.stats.duplicate_rate == 1 - distinct / 1000
         assert len(set(batches[0]) | set(batches[1])) == 501
-        generate_batch(trees, None, cfg(count=200, seed=1), lexicon=lexicon, stats=stats)
-        counted = stats.to_dict()
-        with pytest.raises(ValueError, match="one batch"):
-            generate_batch(trees, None, cfg(count=200, seed=2), lexicon=lexicon, stats=stats)
-        assert stats.to_dict() == counted
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_the_stats_recount_the_drawn_list(self, force_split, split):
+        children = force_split() if split else []
+        trees, lexicon = ground_truth_world()
+        batch = generate_batch(trees, None, cfg(count=300, seed=4), lexicon=lexicon)
+        assert len(children) == (2 if split else 0)
+        drawn = list(batch)
+        assert batch.stats == GenerationStats(
+            sentences_per_intent=dict(Counter(s.intent for s in drawn)),
+            knn_fills=0, oov_bypasses=0, multi_token_bypasses=0,
+            total=len(drawn), distinct=len(set(drawn)),
+        )
+        with pytest.raises(FrozenInstanceError):
+            batch.stats.total = 0
 
     def test_missing_training_size_is_an_error(self, tiny_dataset):
         trees = build(tiny_dataset)
@@ -388,9 +402,8 @@ class TestBatchSequence:
         assert len({id(s) for s in batch}) == len(set(batch)) < len(batch)
 
     def test_an_empty_batch(self):
-        stats = GenerationStats()
-        batch = generate_batch({}, None, cfg(count=3), lexicon=EntityLexicon(), stats=stats)
-        assert len(batch) == stats.total == 0 and not batch
+        batch = generate_batch({}, None, cfg(count=3), lexicon=EntityLexicon())
+        assert len(batch) == batch.stats.total == 0 and not batch
         assert batch == [] and list(batch) == batch[:] == [] and [] + batch == []
         with pytest.raises(IndexError):
             batch[0]
@@ -406,11 +419,10 @@ class TestForkedBatch:
     """`generate_batch` split over forked children, forced by `force_split`,
     against the serial batch; no test may leave a child behind."""
 
-    def batch(self, **config) -> tuple[list[GeneratedSentence], dict]:
+    def batch(self, **config) -> tuple[list[AnnotatedSentence], dict]:
         trees, lexicon = ground_truth_world()
-        stats = GenerationStats()
-        out = generate_batch(trees, None, cfg(**config), lexicon=lexicon, stats=stats)
-        return out, stats.to_dict()
+        out = generate_batch(trees, None, cfg(**config), lexicon=lexicon)
+        return out, out.stats.to_dict()
 
     def test_forked_batch_equals_serial(self, force_split):
         serial = self.batch(count=400, seed=3)
@@ -545,10 +557,8 @@ class TestLanguageSoundness:
         rng = random.Random(seed)
         config = cfg(apply_dropout=True)
         for _ in range(300):
-            s = generate_one(tree, lexicon, None, config, rng)
-            template, _ = abstract_entities(
-                AnnotatedSentence(s.tokens, s.slots, s.intent)
-            )
+            s, _ = generate_one(tree, lexicon, None, config, rng)
+            template, _ = abstract_entities(s)
             assert template in language
 
     def test_airline_generation_is_iob_sound(self, airline_dataset):
@@ -588,10 +598,9 @@ def emitted(sentences, fmt: str) -> list[str]:
     return sink.getvalue().splitlines(keepends=True)
 
 
-def unshared(s: GeneratedSentence) -> GeneratedSentence:
+def unshared(s: AnnotatedSentence) -> AnnotatedSentence:
     """An equal sentence that shares no tuple with `s`."""
-    return GeneratedSentence(*(tuple(list(part)) if isinstance(part, tuple) else part
-                               for part in s))
+    return AnnotatedSentence(tuple(list(s.tokens)), tuple(list(s.slots)), s.intent)
 
 
 _ODD_CHARACTERS = '"\\/\x00\x08\t\n\x1f\x7f\x85\u00e9\u2028\u2029\ufeff\ud800\udfff\U0001f6eb'
@@ -601,19 +610,21 @@ _ANY_TEXT = st.text(st.sampled_from(_ODD_CHARACTERS) | st.characters(exclude_cat
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ANY_TEXT, max_size=4), st.lists(_ANY_TEXT, max_size=4), st.none() | _ANY_TEXT)
-def test_a_record_line_is_json_dumps(tokens, slots, intent):
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(_ANY_TEXT, min_size=2 * n, max_size=2 * n)),
+       st.none() | _ANY_TEXT)
+def test_a_record_line_is_json_dumps(texts, intent):
+    tokens, slots = texts[::2], texts[1::2]
     record: dict = {"tokens": tokens, "slots": slots}
     if intent is not None:
         record["intent"] = intent
-    sentence = GeneratedSentence(tuple(tokens), tuple(slots), intent, ())
+    sentence = AnnotatedSentence(tuple(tokens), tuple(slots), intent)
     assert generator._render_record(sentence) == json.dumps(record, ensure_ascii=False) + "\n"
 
 
 def test_a_record_with_a_field_that_is_not_a_string_raises():
     """json.dumps wrote a number; the record renderer accepts only str."""
     with pytest.raises(TypeError):
-        generator._render_record(GeneratedSentence(("a", 1), ("O", "O"), "x", ()))
+        generator._render_record(AnnotatedSentence(("a", 1), ("O", "O"), "x"))
 
 
 class TestEmit:
@@ -651,7 +662,7 @@ class TestEmit:
             AnnotatedSentence(("東京", "へ"), ("B-city", "O"), intent="旅行"),
             AnnotatedSentence(("vol", "pour", "Zürich"), ("O", "O", "B-city")),
             AnnotatedSentence(("vol", "pour", "Zürich"), ("O", "O", "B-city"), intent="a"),
-            GeneratedSentence(("🛫", "\u00e9"), ("B-x", "I-x"), "a", ()),
+            AnnotatedSentence(("🛫", "\u00e9"), ("B-x", "I-x"), "a"),
             AnnotatedSentence(("東京", "へ"), ("B-city", "O"), intent="旅行"),
         ]
         lines = emitted(sentences, fmt)
@@ -668,8 +679,8 @@ class TestEmit:
         def fresh():
             for i in range(2000):
                 n = i * 7 % 13
-                yield GeneratedSentence((f"w{n}",) * (1 + n % 3), ("O",) * (1 + n % 3),
-                                        f"i{n % 2}", ())
+                yield AnnotatedSentence((f"w{n}",) * (1 + n % 3), ("O",) * (1 + n % 3),
+                                        f"i{n % 2}")
 
         assert emitted(fresh(), fmt) == emit_per_token(fresh(), fmt)
 
@@ -683,8 +694,8 @@ class TestEmit:
             return render(s)
 
         monkeypatch.setitem(generator._RENDERERS, fmt, counting)
-        a = GeneratedSentence(("a",), ("O",), "x", ())
-        b = GeneratedSentence(("b",), ("O",), "x", ())
+        a = AnnotatedSentence(("a",), ("O",), "x")
+        b = AnnotatedSentence(("b",), ("O",), "x")
         emitted([a, b, unshared(a), a, unshared(b)] * 100, fmt)
         assert rendered == {a: 1, b: 1}
 
@@ -722,9 +733,9 @@ class TestEmit:
     def test_a_sentence_with_no_tokens_is_a_header_and_a_blank_line(self):
         """parse_conll drops it, header and all; perfbench's induce corpus
         relies on this to drop the empty sentences its random trees draw."""
-        sentences = [GeneratedSentence(("a",), ("O",), "x", ()),
-                     GeneratedSentence((), (), "y", ()),
-                     GeneratedSentence(("b",), ("B-c",), "z", ())]
+        sentences = [AnnotatedSentence(("a",), ("O",), "x"),
+                     AnnotatedSentence((), (), "y"),
+                     AnnotatedSentence(("b",), ("B-c",), "z")]
         text = "".join(emitted(sentences, "conll"))
         assert text == "# intent: x\na\tO\n\n# intent: y\n\n# intent: z\nb\tB-c\n\n"
         assert [(s.tokens, s.intent) for s in parse_conll(text)] == [
