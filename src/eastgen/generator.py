@@ -18,10 +18,11 @@ A draw is the `AnnotatedSentence` that parsing returns. Only
 `generate_one` records provenance (the branch choices taken).
 
 A large batch draws most of its sentences many times, so it stays indexed
-from sampling to the file: `generate_batch` returns a `Batch`, which holds
-each intent's distinct sentences and one 4-byte index per draw, and `emit`
-renders each distinct sentence once and writes the draws by index, a
-chunk of texts per write. The batch's `stats` are counted from its parts.
+from sampling to the file: `generate_batch` returns a `Batch`, a frozen
+record of each intent's distinct sentences and one 4-byte index per draw
+that iterates as the drawn sentences, and `emit` renders each distinct
+sentence once and writes the draws by index, a chunk of texts per write.
+The batch's read-only `stats` are counted from its parts.
 
 Each intent draws from its own stream, so `generate_batch` may sample
 whole intents in parallel: it splits them into one share per CPU, samples
@@ -48,17 +49,17 @@ bisect cumulative weights with the last cumulative value as the total
 from __future__ import annotations
 
 import hashlib
-import operator
 import os
 import random
 import signal
 import threading
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from itertools import accumulate
 from json.encoder import encode_basestring
+from types import MappingProxyType
 from typing import Iterable, TextIO
 
 from .corpus import (
@@ -102,7 +103,7 @@ class GenerationConfig:
 class GenerationStats:
     """One batch's sidecar: per-intent counts plus substitution bookkeeping."""
 
-    sentences_per_intent: dict[str, int]
+    sentences_per_intent: Mapping[str, int]
     knn_fills: int
     oov_bypasses: int
     multi_token_bypasses: int
@@ -124,23 +125,19 @@ class GenerationStats:
         }
 
 
-class Batch(Sequence):
-    """The draws of one batch, read as the list of drawn sentences.
+@dataclass(frozen=True)
+class Batch:
+    """The draws of one batch, iterated as the drawn sentences in order.
 
     `parts` holds, per intent in sorted order, the distinct sentences in
     first-drawn order and an array("I") with the index into them of every
     draw, so a draw costs 4 bytes and repeats share one object; `stats`
-    counts them. The batch cannot be changed; slicing it or adding it to a
-    list gives a list, and it equals any list or batch with the same
-    sentences in the same order, whatever its stats.
+    counts them. Two batches are equal when their parts and stats are; call
+    `list()` on a batch to index, slice or change its sentences.
     """
 
-    __slots__ = ("parts", "stats")
-    __hash__ = None  # unhashable, like the list it stands for
-
-    def __init__(self, parts: tuple[tuple[list, array], ...], stats: GenerationStats):
-        self.parts = parts
-        self.stats = stats
+    parts: tuple[tuple[list[AnnotatedSentence], array], ...] = field(repr=False)
+    stats: GenerationStats
 
     def __len__(self) -> int:
         return self.stats.total
@@ -148,34 +145,6 @@ class Batch(Sequence):
     def __iter__(self):
         for distinct, draws in self.parts:
             yield from map(distinct.__getitem__, draws)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("batch index out of range")
-        for distinct, draws in self.parts:
-            if i < len(draws):
-                return distinct[draws[i]]
-            i -= len(draws)
-
-    def __eq__(self, other):
-        if not isinstance(other, (Batch, list)):
-            return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
-
-    def __add__(self, other):
-        if not isinstance(other, (Batch, list)):
-            return NotImplemented
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        if not isinstance(other, list):
-            return NotImplemented
-        return other + list(self)
 
 
 def _draw(cum: Sequence[float], random) -> int:
@@ -452,7 +421,10 @@ def generate_batch(
     (seed, intent), so output is fully determined by the config seed and
     independent of tree-map ordering and of how many CPUs sample it.
     Duplicates are legitimate samples, and equal draws of an intent share
-    one object (see Batch). The batch's `stats` count its draws.
+    one object. The returned Batch iterates as the drawn sentences (call
+    `list()` on it to index or slice them), and its read-only `stats` count
+    its draws. An intent without a training size, when `count` is unset,
+    raises MissingTrainingSizeError before any intent is sampled.
     """
     if lexicon is None:
         if dataset is None:
@@ -461,25 +433,21 @@ def generate_batch(
     intent_sizes = dataset.intent_counts() if dataset is not None else {}
 
     counts: dict[str, int] = {}
-    missing = None  # sampling stops at the first intent without a size
     for intent in sorted(trees):
         if config.count is not None:
             counts[intent] = config.count
         elif intent in intent_sizes:
             counts[intent] = config.factor * intent_sizes[intent]
         else:
-            missing = intent
-            break
+            raise MissingTrainingSizeError(intent)
     fills = _Fills(lexicon, table, config)
     results = _sample_forked(trees, counts, fills)
     if results is None:  # any failure samples again here, which returns or raises
         results = _sample(counts, trees, counts, fills)
-    if missing is not None:
-        raise MissingTrainingSizeError(missing)
 
     parts = tuple(results[intent] for intent in counts)
     return Batch(parts, GenerationStats(
-        sentences_per_intent=dict(counts),
+        sentences_per_intent=MappingProxyType(counts),
         # forked children draw without a table, so their substitution counts are 0
         knn_fills=fills.knn_fills,
         oov_bypasses=fills.oov_bypasses,

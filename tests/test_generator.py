@@ -34,7 +34,7 @@ from eastgen import (
 )
 from eastgen import generator
 from eastgen.generator import OUTPUT_FORMATS
-from eastgen.errors import MissingLexiconError
+from eastgen.errors import MissingLexiconError, MissingTrainingSizeError
 
 from helpers import (
     brute_force_knn,
@@ -343,60 +343,75 @@ class TestBatch:
         with pytest.raises(FrozenInstanceError):
             batch.stats.total = 0
 
+    def test_the_per_intent_counts_cannot_be_changed(self, tiny_dataset):
+        """A plain dict once took the 99 and to_dict() reported it against a
+        total of 10."""
+        out = generate_batch(build(tiny_dataset), tiny_dataset, cfg(count=5))
+        with pytest.raises(TypeError):
+            out.stats.sentences_per_intent["greet"] = 99
+        assert out.stats.to_dict()["sentences_per_intent"] == {"go": 5, "greet": 5}
+
     def test_missing_training_size_is_an_error(self, tiny_dataset):
         trees = build(tiny_dataset)
         extra = East("orphan", order(fixed({"hi": 1})))
         with pytest.raises(ValueError):
             generate_batch({**trees, "orphan": extra}, tiny_dataset, cfg(factor=1))
 
+    def test_a_missing_training_size_raises_before_sampling(self, tiny_dataset,
+                                                             monkeypatch):
+        """The intent without a size sorts after "go" and "greet", which were
+        once sampled before the missing size raised."""
+        sampled = []
+        sample_intent = generator._sample_intent
 
-class TestBatchSequence:
-    """`generate_batch` returns each intent's distinct sentences and one index
-    per draw; read as a sequence, the batch keeps the list behaviour that the
-    tests and `perfbench/inputs.py` use."""
+        def counting(intent, *args):
+            sampled.append(intent)
+            return sample_intent(intent, *args)
+
+        monkeypatch.setattr(generator, "_sample_intent", counting)
+        trees = build(tiny_dataset)
+        extra = East("orphan", order(fixed({"hi": 1})))
+        with pytest.raises(MissingTrainingSizeError):
+            generate_batch({**trees, "orphan": extra}, tiny_dataset, cfg(factor=1))
+        assert sampled == []
+
+
+class TestBatchRecord:
+    """`generate_batch` returns a frozen record of each intent's distinct
+    sentences and one index per draw, which iterates as the drawn list."""
 
     @pytest.fixture
     def batch(self):
         trees, lexicon = ground_truth_world()
         return generate_batch(trees, None, cfg(count=30, seed=2), lexicon=lexicon)
 
-    def test_reads_as_its_list(self, batch):
+    def test_iterates_as_its_list(self, batch):
         drawn = list(batch)
         assert len(batch) == len(drawn) == 150
-        assert [batch[i] for i in range(-150, 150)] == drawn + drawn
-        for i in (150, -151):
-            with pytest.raises(IndexError):
-                batch[i]
-        for cut in (slice(None), slice(3, 40), slice(-10, None), slice(None, None, -7),
-                    slice(5, 2), slice(0, 10**9, 4)):
-            assert type(batch[cut]) is list and batch[cut] == drawn[cut]
-        assert drawn[7] in batch and batch.index(drawn[7]) == drawn.index(drawn[7])
-        common = Counter(drawn).most_common(1)[0][0]
-        assert batch.count(common) == drawn.count(common) > 1
-        assert list(reversed(batch)) == drawn[::-1]
-
-    def test_compares_and_adds_as_a_list(self, batch):
-        drawn = list(batch)
-        trees, lexicon = ground_truth_world()
-        assert batch == drawn and drawn == batch and not batch != drawn
-        assert batch == generate_batch(trees, None, cfg(count=30, seed=2), lexicon=lexicon)
-        assert batch != generate_batch(trees, None, cfg(count=30, seed=3), lexicon=lexicon)
-        assert batch != drawn[:-1] and batch != drawn[::-1] and batch != tuple(drawn)
-        assert batch + drawn == drawn + batch == batch + batch == drawn + drawn
-        assert type(batch + drawn) is list and type(drawn + batch) is list
+        assert drawn[7] in batch
         extended = ["first"]
         extended.extend(batch)
         assert extended == ["first"] + drawn
-        for bad in (lambda: batch + tuple(drawn), lambda: tuple(drawn) + batch,
-                    lambda: hash(batch), lambda: batch["0"]):
-            with pytest.raises(TypeError):
-                bad()
+
+    def test_compares_by_its_draws(self, batch):
+        trees, lexicon = ground_truth_world()
+        assert batch == generate_batch(trees, None, cfg(count=30, seed=2), lexicon=lexicon)
+        assert batch != generate_batch(trees, None, cfg(count=30, seed=3), lexicon=lexicon)
 
     def test_cannot_be_changed(self, batch):
         with pytest.raises(TypeError):
-            batch[0] = batch[1]
+            batch[0] = None
         with pytest.raises(AttributeError):
-            batch.append(batch[0])
+            batch.append(None)
+        with pytest.raises(FrozenInstanceError):
+            batch.stats = None
+        with pytest.raises(FrozenInstanceError):
+            batch.parts = ()
+        with pytest.raises(TypeError):
+            hash(batch)
+
+    def test_its_repr_leaves_out_the_draws(self, batch):
+        assert len(repr(batch)) < 500
 
     def test_equal_draws_share_one_object(self, batch):
         assert len({id(s) for s in batch}) == len(set(batch)) < len(batch)
@@ -404,9 +419,7 @@ class TestBatchSequence:
     def test_an_empty_batch(self):
         batch = generate_batch({}, None, cfg(count=3), lexicon=EntityLexicon())
         assert len(batch) == batch.stats.total == 0 and not batch
-        assert batch == [] and list(batch) == batch[:] == [] and [] + batch == []
-        with pytest.raises(IndexError):
-            batch[0]
+        assert list(batch) == []
         assert emitted(batch, "conll") == []
 
 

@@ -308,7 +308,7 @@ def _sampled_corpus(tmp_path):
     config = GenerationConfig(seed=BUILD_SEED, count=BUILD_COUNT, use_embeddings=False)
     corpus = tmp_path / "corpus.conll"
     with open(corpus, "w", encoding="utf-8") as handle:
-        emit(generate_batch(trees, None, config, lexicon=lexicon) + NON_MAIN_CORPUS,
+        emit([*generate_batch(trees, None, config, lexicon=lexicon), *NON_MAIN_CORPUS],
              handle, "conll")
     return corpus
 
