@@ -24,8 +24,9 @@ EXCHANGEABLE = "exchangeable"
 FIXED = "fixed"
 ENTITY = "entity"
 
-CONTROL_KINDS = (ORDER, PICKONE, EXCHANGEABLE)
-CONTENT_KINDS = (FIXED, ENTITY)
+# the one payload field each node kind carries; validate rejects the others
+_CARRIES = {ORDER: "children", PICKONE: "children", EXCHANGEABLE: "children",
+            FIXED: "dictionary", ENTITY: "slot"}
 ROOT_KINDS = (ORDER, PICKONE)
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -141,7 +142,7 @@ def validate(tree: East) -> list[str]:
         violations.append(f"root: root kind must be order or pickone, got {tree.root.kind!r}")
 
     for path, node in iter_nodes(tree):
-        if node.kind not in CONTROL_KINDS + CONTENT_KINDS:
+        if not isinstance(node.kind, str) or node.kind not in _CARRIES:
             violations.append(f"{path}: unknown kind {node.kind!r}")
             continue
         if path.count("[") == MAX_DEPTH + 1:
@@ -153,39 +154,27 @@ def validate(tree: East) -> list[str]:
         ):
             violations.append(f"{path}: dropout {node.dropout!r} outside [0, 1)")
 
-        if node.kind in CONTENT_KINDS:
-            if node.children:
-                violations.append(f"{path}: content node has children")
-        else:
-            if not node.children:
-                violations.append(f"{path}: control node has no children")
-            if node.dictionary is not None:
-                violations.append(f"{path}: control node has a dictionary")
-            if node.slot is not None:
-                violations.append(f"{path}: control node has a slot")
+        carried = _CARRIES[node.kind]
+        for name, value in (("children", node.children or None),
+                            ("dictionary", node.dictionary), ("slot", node.slot)):
+            if name == carried and not value:
+                violations.append(f"{path}: {node.kind} node has no {name}")
+            elif name != carried and value is not None:
+                violations.append(f"{path}: {node.kind} node must not have {name}")
 
         if node.kind == FIXED:
-            if node.slot is not None:
-                violations.append(f"{path}: fixed node has a slot")
-            if not node.dictionary:
-                violations.append(f"{path}: fixed node dictionary is empty")
-            else:
-                for phrase, count in node.dictionary.items():
-                    if not is_phrase(phrase):
-                        violations.append(f"{path}: malformed phrase {phrase!r}")
-                    if not (_is_number(count) and isinstance(count, int)) or count < 1:
-                        violations.append(
-                            f"{path}: phrase {phrase!r} count {count!r} "
-                            "is not an integer >= 1"
-                        )
-                if node.cum and node.cum[-1] > FLOAT_MAX:  # the draw total
-                    violations.append(f"{path}: phrase counts total beyond the float range")
+            for phrase, count in (node.dictionary or {}).items():
+                if not is_phrase(phrase):
+                    violations.append(f"{path}: malformed phrase {phrase!r}")
+                if not (_is_number(count) and isinstance(count, int)) or count < 1:
+                    violations.append(
+                        f"{path}: phrase {phrase!r} count {count!r} "
+                        "is not an integer >= 1"
+                    )
+            if node.cum and node.cum[-1] > FLOAT_MAX:  # the draw total
+                violations.append(f"{path}: phrase counts total beyond the float range")
         elif node.kind == ENTITY:
-            if node.dictionary is not None:
-                violations.append(f"{path}: entity node has a dictionary")
-            if not node.slot:
-                violations.append(f"{path}: entity node has no slot label")
-            elif not is_token(node.slot):
+            if node.slot and not is_token(node.slot):
                 violations.append(f"{path}: malformed slot label {node.slot!r}")
             if node.dropout is not None:
                 violations.append(f"{path}: entity node must not have dropout")
@@ -217,11 +206,11 @@ def _node_to_obj(node: Node) -> dict:
     obj: dict = {"kind": node.kind, "weight": node.weight}
     if node.dropout is not None:
         obj["dropout"] = node.dropout
-    if node.kind in CONTROL_KINDS:
+    if node.children:
         obj["children"] = [_node_to_obj(c) for c in node.children]
-    elif node.kind == FIXED:
-        obj["dictionary"] = dict(node.dictionary or {})
-    elif node.kind == ENTITY:
+    if node.dictionary is not None:
+        obj["dictionary"] = dict(node.dictionary)
+    if node.slot is not None:
         obj["slot"] = node.slot
     return obj
 
@@ -241,7 +230,7 @@ def _parse_node(obj, path: str, depth: int = 0) -> Node:
     if unknown:
         raise TreeSchemaError(f"unknown fields {sorted(unknown)}", path)
     kind = obj.get("kind")
-    if kind not in CONTROL_KINDS + CONTENT_KINDS:
+    if not isinstance(kind, str) or kind not in _CARRIES:
         raise TreeSchemaError(f"unknown node kind {kind!r}", path)
 
     weight, dropout = obj.get("weight"), obj.get("dropout")
@@ -249,41 +238,29 @@ def _parse_node(obj, path: str, depth: int = 0) -> Node:
         if value is not None and not (_is_number(value) and abs(value) <= FLOAT_MAX):
             raise TreeSchemaError(f"{key} must be a finite number, got {value!r}", path)
 
-    children: tuple[Node, ...] = ()
-    dictionary = None
-    slot = None
-    if kind in CONTROL_KINDS:
-        raw_children = obj.get("children")
-        if not isinstance(raw_children, list) or not raw_children:
-            raise TreeSchemaError("control node needs a non-empty children array", path)
-        children = tuple(
-            _parse_node(c, f"{path}.children[{i}]", depth + 1)
-            for i, c in enumerate(raw_children)
-        )
-        if kind == PICKONE:
-            children = _distribute_pickone_weights(children, raw_children)
-    elif kind == FIXED:
-        dictionary = obj.get("dictionary")
-        if not isinstance(dictionary, dict):
-            raise TreeSchemaError("fixed node needs a dictionary object", path)
-        for phrase, count in dictionary.items():
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise TreeSchemaError(
-                    f"dictionary count for {phrase!r} must be an integer", path
-                )
-    else:
-        slot = obj.get("slot")
-        if not isinstance(slot, str):
-            raise TreeSchemaError("entity node needs a slot string", path)
-
-    return Node(
-        kind=kind,
-        weight=float(weight) if weight is not None else 1.0,
-        dropout=float(dropout) if dropout is not None else None,
-        children=children,
-        dictionary=dict(dictionary) if dictionary is not None else None,
-        slot=slot,
+    # read whatever the kind: validate judges which of them a node may carry
+    raw_children = [] if obj.get("children") is None else obj["children"]
+    if not isinstance(raw_children, list):
+        raise TreeSchemaError("children must be an array", path)
+    children = tuple(
+        _parse_node(c, f"{path}.children[{i}]", depth + 1)
+        for i, c in enumerate(raw_children)
     )
+    if kind == PICKONE:
+        children = _distribute_pickone_weights(children, raw_children)
+    dictionary = obj.get("dictionary")
+    if dictionary is not None and not isinstance(dictionary, dict):
+        raise TreeSchemaError("dictionary must be an object", path)
+    for phrase, count in (dictionary or {}).items():
+        if not isinstance(count, int) or isinstance(count, bool):
+            raise TreeSchemaError(f"dictionary count for {phrase!r} must be an integer", path)
+    slot = obj.get("slot")
+    if slot is not None and not isinstance(slot, str):
+        raise TreeSchemaError("slot must be a string", path)
+
+    return Node(kind=kind, weight=float(weight) if weight is not None else 1.0,
+                dropout=float(dropout) if dropout is not None else None,
+                children=children, dictionary=dictionary, slot=slot)
 
 
 def _distribute_pickone_weights(children: tuple[Node, ...], raw: list) -> tuple[Node, ...]:

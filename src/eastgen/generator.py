@@ -65,9 +65,9 @@ from typing import Iterable, TextIO
 from .corpus import (
     INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon, check_lexicon_entry, is_count,
 )
-from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE
+from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, validate
 from .embeddings import EmbeddingTable, k_nearest_block
-from .errors import MissingLexiconError, MissingTrainingSizeError
+from .errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
 
 OUTPUT_FORMATS = ("conll", "records")
 # kNN pools are built this many queries at a time: one GEMM's scores take
@@ -424,7 +424,8 @@ def generate_batch(
     one object. The returned Batch iterates as the drawn sentences (call
     `list()` on it to index or slice them), and its read-only `stats` count
     its draws. An intent without a training size, when `count` is unset,
-    raises MissingTrainingSizeError before any intent is sampled.
+    raises MissingTrainingSizeError, and a tree that validate() rejects
+    raises TreeValidationError naming its intent, before any intent is sampled.
     """
     if lexicon is None:
         if dataset is None:
@@ -434,6 +435,9 @@ def generate_batch(
 
     counts: dict[str, int] = {}
     for intent in sorted(trees):
+        violations = validate(trees[intent])
+        if violations:
+            raise TreeValidationError([f"intent {intent!r}: {v}" for v in violations])
         if config.count is not None:
             counts[intent] = config.count
         elif intent in intent_sizes:

@@ -23,9 +23,9 @@ from .corpus import (
     INTENT_HEADER, EntityLexicon, check_lexicon_entry, is_intent, is_token, json_fault,
 )
 from .east import (
-    East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, may_expand_empty,
+    East, ENTITY, FIXED, Node, ORDER, PICKONE, may_expand_empty, validate,
 )
-from .errors import EastgenError, MissingLexiconError
+from .errors import EastgenError, MissingLexiconError, TreeValidationError
 
 DIALECT_NOTE = (
     "anchored Python re: escaped literals, (?:...) groups, (?P<gN>...) "
@@ -83,9 +83,8 @@ class _Lowering:
             return _alternation([self.lower(c) for c in node.children])
         if node.kind == ORDER:
             return self.sequence(node.children)
-        if node.kind == EXCHANGEABLE:
-            return _alternation([self.sequence(p) for p in permutations(node.children)])
-        raise EastgenError(f"cannot lower node kind {node.kind!r}")
+        # exchangeable: export_regex validated the tree, so no other kind is left
+        return _alternation([self.sequence(p) for p in permutations(node.children)])
 
     def sequence(self, nodes: Sequence[Node]) -> str:
         """Space-joined sequence; optional elements keep their separating
@@ -113,7 +112,11 @@ class _Lowering:
 
 
 def export_regex(tree: East, lexicon: EntityLexicon) -> RegexBundle:
-    """One anchored pattern per root-level pick-one branch (else a single one)."""
+    """One anchored pattern per root-level pick-one branch (else a single one).
+    A tree that validate() rejects raises TreeValidationError naming its intent."""
+    violations = validate(tree)
+    if violations:
+        raise TreeValidationError([f"intent {tree.intent!r}: {v}" for v in violations])
     roots = tree.root.children if tree.root.kind == PICKONE else (tree.root,)
     patterns: list[str] = []
     group_slots: list[dict[str, str]] = []

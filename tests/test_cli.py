@@ -751,6 +751,17 @@ class TestValidate:
         assert main(["validate", "--trees", str(path)]) == 1
         assert "root" in capsys.readouterr().out
 
+    def test_a_field_the_kind_does_not_carry_exits_one_with_path(self, tmp_path, capsys):
+        """Once dropped on load, so the file validated as ok."""
+        doc = {"intent": "x", "root": {"kind": "order", "children": [
+            {"kind": "fixed", "dictionary": {"a": 1}, "slot": "s"}]}}
+        path = tmp_path / "bad.east.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--trees", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "bad.east.json: root.children[0]: fixed node must not have slot\n1 violation(s)\n"
+        )
+
     def test_corpus_iob_violation_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.conll"
         bad.write_text("Beijing\tI-LOC\n")

@@ -85,7 +85,13 @@ class TestValidate:
             # construct an ill-formed node directly
             entity("slot").__class__("entity", 1.0, None, (fixed({"a": 1}),), None, "slot")
         ))
-        assert any("content node has children" in v for v in validate(bad))
+        assert "root.children[0]: entity node must not have children" in validate(bad)
+
+    @pytest.mark.parametrize("kind", ["bad", ["order"]])
+    def test_unknown_kind_on_a_tree_built_in_code(self, kind):
+        assert validate(East("x", order(Node(kind)))) == [
+            f"root.children[0]: unknown kind {kind!r}"
+        ]
 
     def test_root_kind_restricted(self):
         assert any("root kind" in v for v in validate(East("x", fixed({"a": 1}))))
@@ -100,7 +106,7 @@ class TestValidate:
 
     def test_empty_dictionary(self):
         node = fixed({"a": 1}).__class__("fixed", 1.0, None, (), {}, None)
-        assert any("dictionary is empty" in v for v in validate(East("x", order(node))))
+        assert "root.children[0]: fixed node has no dictionary" in validate(East("x", order(node)))
 
     def test_violation_paths_point_at_nodes(self):
         tree = East("x", order(order(fixed({"a": 1}, weight=2.0))))
@@ -304,6 +310,67 @@ class TestSerialization:
             deserialize(doc)
         assert "extra" in str(err.value)
 
+    @pytest.mark.parametrize("node, field", [
+        ({"kind": "order", "children": [{"kind": "fixed", "dictionary": {"a": 1}}],
+          "slot": "s"}, "slot"),
+        ({"kind": "order", "children": [{"kind": "fixed", "dictionary": {"a": 1}}],
+          "dictionary": {"b": 1}}, "dictionary"),
+        ({"kind": "fixed", "dictionary": {"a": 1}, "slot": "s"}, "slot"),
+        ({"kind": "fixed", "dictionary": {"a": 1},
+          "children": [{"kind": "fixed", "dictionary": {"b": 1}}]}, "children"),
+        ({"kind": "entity", "slot": "s", "dictionary": {"a": 1}}, "dictionary"),
+        ({"kind": "entity", "slot": "s",
+          "children": [{"kind": "fixed", "dictionary": {"b": 1}}]}, "children"),
+    ])
+    def test_a_field_the_kind_does_not_carry_is_rejected(self, node, field):
+        """Once dropped on load, so `serialize` wrote the tree without it."""
+        doc = json.dumps({"intent": "x", "root": {"kind": "order", "children": [node]}})
+        with pytest.raises(TreeValidationError) as err:
+            deserialize(doc)
+        assert err.value.violations == [
+            f"root.children[0]: {node['kind']} node must not have {field}"
+        ]
+
+    @pytest.mark.parametrize("node, field", [
+        ({"kind": "pickone"}, "children"),
+        ({"kind": "exchangeable", "children": []}, "children"),
+        ({"kind": "fixed", "dictionary": None}, "dictionary"),
+        ({"kind": "fixed", "dictionary": {}}, "dictionary"),
+        ({"kind": "entity"}, "slot"),
+        ({"kind": "entity", "slot": ""}, "slot"),
+    ])
+    def test_a_kind_without_its_field_is_rejected(self, node, field):
+        doc = json.dumps({"intent": "x", "root": {"kind": "order", "children": [node]}})
+        with pytest.raises(TreeValidationError) as err:
+            deserialize(doc)
+        assert err.value.violations == [f"root.children[0]: {node['kind']} node has no {field}"]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("children", {}, "children must be an array"),
+        ("dictionary", ["a"], "dictionary must be an object"),
+        ("slot", 1, "slot must be a string"),
+    ])
+    def test_a_field_of_the_wrong_json_type_is_a_schema_error(self, field, value, message):
+        node = {"kind": "fixed", "dictionary": {"a": 1}, field: value}
+        doc = json.dumps({"intent": "x", "root": {"kind": "order", "children": [node]}})
+        with pytest.raises(TreeSchemaError) as err:
+            deserialize(doc)
+        assert str(err.value) == f"root.children[0]: {message}"
+
+    def test_every_stray_field_is_named(self):
+        doc = """{"intent":"i","root":{"kind":"order","slot":"zz","children":[
+          {"kind":"entity","slot":"city","dictionary":{"x":1},
+           "children":[{"kind":"fixed","dictionary":{"a":1}}]},
+          {"kind":"fixed","dictionary":{"hi":1},"slot":"s"}]}}"""
+        with pytest.raises(TreeValidationError) as err:
+            deserialize(doc)
+        assert err.value.violations == [
+            "root: order node must not have slot",
+            "root.children[0]: entity node must not have children",
+            "root.children[0]: entity node must not have dictionary",
+            "root.children[1]: fixed node must not have slot",
+        ]
+
     @pytest.mark.parametrize(
         "node",
         [
@@ -355,13 +422,15 @@ class TestSerialization:
             deserialize("[" * 100000)
         assert "nested too deeply" in str(err.value)
 
-    def test_schema_error_carries_path(self):
+    @pytest.mark.parametrize("kind", ["bad", None, ["order"], {"order": 1}])
+    def test_schema_error_carries_path(self, kind):
         doc = json.dumps(
-            {"intent": "x", "root": {"kind": "order", "children": [{"kind": "bad"}]}}
+            {"intent": "x", "root": {"kind": "order", "children": [{"kind": kind}]}}
         )
         with pytest.raises(TreeSchemaError) as err:
             deserialize(doc)
         assert err.value.path == "root.children[0]"
+        assert str(err.value) == f"root.children[0]: unknown node kind {kind!r}"
 
     def test_invalid_tree_reports_violations(self):
         doc = json.dumps(

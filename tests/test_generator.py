@@ -33,8 +33,8 @@ from eastgen import (
     pick_one,
 )
 from eastgen import generator
-from eastgen.generator import OUTPUT_FORMATS
-from eastgen.errors import MissingLexiconError, MissingTrainingSizeError
+from eastgen.generator import OUTPUT_FORMATS, Batch
+from eastgen.errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
 
 from helpers import (
     brute_force_knn,
@@ -375,6 +375,19 @@ class TestBatch:
             generate_batch({**trees, "orphan": extra}, tiny_dataset, cfg(factor=1))
         assert sampled == []
 
+    def test_an_invalid_tree_raises_before_sampling(self, monkeypatch):
+        """The phrase 'a  b' was sampled and written as the lines 'a\tO',
+        '\tO' and 'b\tO', which parse_conll rejects."""
+        sampled = []
+        monkeypatch.setattr(generator, "_sample_intent", lambda *args: sampled.append(args))
+        trees = {"ok": East("ok", order(fixed({"hi": 1}))),
+                 "x": East("x", order(fixed({"a  b": 1})))}
+        config = GenerationConfig(seed=1, count=2, use_embeddings=False)
+        with pytest.raises(TreeValidationError) as err:
+            generate_batch(trees, None, config, lexicon=EntityLexicon())
+        assert err.value.violations == ["intent 'x': root.children[0]: malformed phrase 'a  b'"]
+        assert sampled == []
+
 
 class TestBatchRecord:
     """`generate_batch` returns a frozen record of each intent's distinct
@@ -432,7 +445,7 @@ class TestForkedBatch:
     """`generate_batch` split over forked children, forced by `force_split`,
     against the serial batch; no test may leave a child behind."""
 
-    def batch(self, **config) -> tuple[list[AnnotatedSentence], dict]:
+    def batch(self, **config) -> tuple[Batch, dict]:
         trees, lexicon = ground_truth_world()
         out = generate_batch(trees, None, cfg(**config), lexicon=lexicon)
         return out, out.stats.to_dict()

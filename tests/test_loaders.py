@@ -16,6 +16,7 @@ from eastgen import (
     parse_conll,
     parse_lexicon,
     parse_records,
+    serialize,
 )
 from eastgen.cli import main
 from eastgen.errors import CorpusParseError, EastgenError, TreeSchemaError
@@ -46,9 +47,31 @@ tree_nodes = st.recursive(
     ),
     max_leaves=12,
 )
+# nodes of the right shape, mostly valid, so that some documents load; the
+# null and empty payload fields they may add load as omitted
+_null_payloads = {"children": st.sampled_from([None, []]), "dictionary": st.none(),
+                  "slot": st.none(), "dropout": st.sampled_from([None, 0.0, 0.5])}
+shaped_nodes = st.recursive(
+    st.fixed_dictionaries(
+        {"kind": st.just("fixed"),
+         "dictionary": st.dictionaries(st.sampled_from(["a", "b c", "d", "a  b"]),
+                                       st.integers(1, 3), min_size=1, max_size=2)},
+        optional={k: v for k, v in _null_payloads.items() if k != "dictionary"},
+    )
+    | st.fixed_dictionaries(
+        {"kind": st.just("entity"), "slot": st.sampled_from(["city", "day", "time", "a b"])},
+        optional={k: v for k, v in _null_payloads.items() if k not in ("slot", "dropout")},
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {"kind": st.sampled_from(["order", "pickone", "exchangeable"]),
+         "children": st.lists(inner, min_size=1, max_size=3)},
+        optional={k: v for k, v in _null_payloads.items() if k != "children"},
+    ),
+    max_leaves=8,
+)
 tree_documents = json_values | st.fixed_dictionaries(
     {"intent": st.text(max_size=5) | json_values, "root": tree_nodes | json_values}
-)
+) | st.fixed_dictionaries({"intent": st.just("x"), "root": shaped_nodes})
 
 TEXT_LOADERS = [parse_conll, parse_records, parse_lexicon, deserialize,
                 load_embeddings, load_bundle]
@@ -66,6 +89,8 @@ def load_or_reject(loader, text):
 def test_deserialize_any_json_value(doc):
     tree = load_or_reject(deserialize, json.dumps(doc))
     assert tree is None or isinstance(tree, East)
+    if tree is not None:
+        assert deserialize(serialize(tree)) == tree
 
 
 @settings(max_examples=200, deadline=None)

@@ -12,7 +12,7 @@ from eastgen import (
     order,
     pick_one,
 )
-from eastgen.errors import MissingLexiconError
+from eastgen.errors import MissingLexiconError, TreeValidationError
 from eastgen.regex_export import dump_bundle, load_bundle
 
 from helpers import (
@@ -70,6 +70,13 @@ class TestExport:
         tree = East("x", order(entity("city")))
         with pytest.raises(MissingLexiconError):
             export_regex(tree, EntityLexicon())
+
+    def test_an_invalid_tree_is_rejected(self):
+        """The phrase 'a  b' was lowered to the pattern '^a  b (?P<g0>boston)$'."""
+        tree = East("x", order(fixed({"a  b": 1}), entity("city")))
+        with pytest.raises(TreeValidationError) as err:
+            export_regex(tree, lex(city=["boston"]))
+        assert err.value.violations == ["intent 'x': root.children[0]: malformed phrase 'a  b'"]
 
     def test_regex_metacharacters_escaped(self):
         tree = East("x", order(fixed({"a+b": 1}), entity("q")))
