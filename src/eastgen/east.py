@@ -30,8 +30,9 @@ _CARRIES = {ORDER: "children", PICKONE: "children", EXCHANGEABLE: "children",
 ROOT_KINDS = (ORDER, PICKONE)
 
 WEIGHT_SUM_TOLERANCE = 1e-9
-# every walker but the sampler recurses; this bound keeps them all far
-# from Python's recursion limit
+# every walker recurses, the sampler's closures about two frames a level
+# (about 200 at this depth); this bound keeps them all far from Python's
+# recursion limit
 MAX_DEPTH = 100
 MAX_EXCHANGEABLE = 6  # regex export expands all n! child orders
 

@@ -10,12 +10,15 @@ form is a single in-vocabulary token, re-sample the fill from the form
 plus its k nearest neighbors with probability proportional to cosine
 similarity (the form itself weighs 1.0).
 
-One interpreter walks each tree's nodes, reading the cumulative weights
-and pre-split phrases every `Node` derives when it is built; the entity
-fill tables and kNN pools it draws from are built once per batch, in
-each process that samples it.
+Each intent's tree is compiled once per batch (once per `generate_one`
+call) into nested closures: a node's kind, dropout and phrase count are
+dispatched on when it is compiled, never at a draw, and each closure
+reads the cumulative weights and pre-split phrases its `Node` derived
+when it was built. The entity fill tables and kNN pools the draws use are
+built once per batch, in each process that samples it.
 A draw is the `AnnotatedSentence` that parsing returns. Only
-`generate_one` records provenance (the branch choices taken).
+`generate_one` records provenance (the branch choices taken); recording
+consumes no randomness of its own, so it draws what a batch draws.
 
 A large batch draws most of its sentences many times, so it stays indexed
 from sampling to the file: `generate_batch` returns a `Batch`, a frozen
@@ -224,64 +227,79 @@ class _Fills:
         return choices[i]
 
 
-def _interpret(root: Node, fills: _Fills, rng: random.Random,
-               prov: list[str] | None) -> tuple[list[str], list[str]]:
-    """Sample one traversal of the tree under `root` into (tokens, tags),
-    appending branch choices to `prov` unless it is None. Nodes are visited,
-    and random() consumed, in the order of a recursive left-to-right
-    expansion; a dropout of None or 0 never drops its node.
+def _compile(node: Node, fills: _Fills, random, prov: list[str] | None):
+    """Return a closure `sample(tokens, tags)` that appends one traversal of
+    the tree under `node` to the two lists, appending branch choices to
+    `prov` unless it is None. Each node's kind is dispatched on here, once;
+    a draw consumes random() in the order of a left-to-right expansion. A
+    dropout of None or 0 never drops its node.
     """
-    random = rng.random
-    slot_forms = fills.forms
-    apply_dropout = fills.config.apply_dropout
-    weighted = fills.config.weighted_lexicon
-    substitute = fills.substitute if fills.table is not None else None
-    tokens: list[str] = []
-    tags: list[str] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.dropout and apply_dropout:
-            dropped = random() < node.dropout
+    kind = node.kind
+    if kind in (ORDER, PICKONE, EXCHANGEABLE):
+        parts = [_compile(child, fills, random, prov) for child in node.children]
+    if kind == FIXED and len(node.phrases) == 1:
+        (phrase_tokens, phrase_tags), = node.phrases
+
+        def sample(tokens, tags):
             if prov is not None:
-                prov.append("drop" if dropped else "keep")
-            if dropped:
-                continue
-        kind = node.kind
-        if kind == FIXED:
-            phrases = node.phrases
-            j = _draw(node.cum, random) if len(phrases) > 1 else 0
+                prov.append("phrase:0")
+            tokens += phrase_tokens
+            tags += phrase_tags
+    elif kind == FIXED:
+        cum, phrases = node.cum, node.phrases
+
+        def sample(tokens, tags):
+            j = _draw(cum, random)
             if prov is not None:
                 prov.append(f"phrase:{j}")
             phrase_tokens, phrase_tags = phrases[j]
             tokens += phrase_tokens
             tags += phrase_tags
-        elif kind == ENTITY:
-            slot = node.slot
+    elif kind == ENTITY:
+        slot, slot_forms = node.slot, fills.forms
+        weighted = fills.config.weighted_lexicon
+        substitute = fills.substitute if fills.table is not None else None
+
+        def sample(tokens, tags):
             forms_cum, forms = slot_forms.get(slot) or fills.load_forms(slot)
             i = _draw(forms_cum, random) if weighted else int(random() * len(forms))
             fill_tokens, fill_tags = forms[i]
             tokens += substitute(slot, fill_tokens, random) if substitute else fill_tokens
             tags += fill_tags
-        elif kind == ORDER:
-            stack += reversed(node.children)
-        elif kind == PICKONE:
-            i = _draw(node.cum, random)
+    elif kind == ORDER:
+        def sample(tokens, tags):
+            for part in parts:
+                part(tokens, tags)
+    elif kind == PICKONE:
+        cum = node.cum
+
+        def sample(tokens, tags):
+            i = _draw(cum, random)
             if prov is not None:
                 prov.append(f"pick:{i}")
-            stack.append(node.children[i])
-        elif kind == EXCHANGEABLE:
-            children = node.children
-            perm = list(range(len(children)))
+            parts[i](tokens, tags)
+    elif kind == EXCHANGEABLE:
+        def sample(tokens, tags):
+            perm = list(range(len(parts)))
             for i in range(len(perm) - 1, 0, -1):
                 j = int(random() * (i + 1))
                 perm[i], perm[j] = perm[j], perm[i]
             if prov is not None:
                 prov.append("perm:" + ",".join(map(str, perm)))
-            stack += map(children.__getitem__, reversed(perm))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-    return tokens, tags
+            for i in perm:
+                parts[i](tokens, tags)
+    else:
+        raise ValueError(f"unknown node kind {kind!r}")
+    if node.dropout and fills.config.apply_dropout:
+        inner, dropout = sample, node.dropout
+
+        def sample(tokens, tags):
+            dropped = random() < dropout
+            if prov is not None:
+                prov.append("drop" if dropped else "keep")
+            if not dropped:
+                inner(tokens, tags)
+    return sample
 
 
 def generate_one(
@@ -294,8 +312,8 @@ def generate_one(
     """Sample one labeled sentence by a weighted traversal of the tree, and
     return it with its provenance: the branch choices taken."""
     prov: list[str] = []
-    fills = _Fills(lexicon, table, config)
-    tokens, tags = _interpret(tree.root, fills, rng, prov)
+    tokens, tags = [], []
+    _compile(tree.root, _Fills(lexicon, table, config), rng.random, prov)(tokens, tags)
     return AnnotatedSentence(tuple(tokens), tuple(tags), tree.intent), tuple(prov)
 
 
@@ -310,11 +328,12 @@ def _sample_intent(intent: str, tree: East, n: int, fills: _Fills,
     (seed, intent). Returns the distinct sentences in first-drawn order and
     the index into them of every draw."""
     rng = random.Random(_intent_seed(fills.config.seed, intent))
-    root = tree.root
+    sample = _compile(tree.root, fills, rng.random, None)
     index: dict[tuple, int] = {}
     draws = array("I")  # 4 bytes a draw: 2**32 draws would not fit in memory
     for _ in range(n):
-        tokens, tags = _interpret(root, fills, rng, None)
+        tokens, tags = [], []
+        sample(tokens, tags)
         draws.append(index.setdefault((tuple(tokens), tuple(tags)), len(index)))
     distinct = [AnnotatedSentence(tokens, tags, tree.intent) for tokens, tags in index]
     return distinct, draws

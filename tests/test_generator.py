@@ -33,6 +33,7 @@ from eastgen import (
     pick_one,
 )
 from eastgen import generator
+from eastgen.east import MAX_DEPTH, iter_nodes, validate
 from eastgen.generator import OUTPUT_FORMATS, Batch
 from eastgen.errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
 
@@ -41,6 +42,7 @@ from helpers import (
     enumerate_language,
     ground_truth_world,
     path_distribution,
+    random_tree,
     random_tree_with_budget,
     small_lexicon,
     total_variation,
@@ -571,6 +573,67 @@ class TestForkedBatch:
             self.batch(count=300)
         assert time.monotonic() - start < 30
         assert len(children) == 2
+        assert_no_child_left()
+
+
+class TestOneSampler:
+    """The recording path of `generate_one` and the plain path of
+    `generate_batch` are one compiled sampler; its closures nest two frames
+    per tree level, which the depth bound keeps far from the recursion limit."""
+
+    @staticmethod
+    def small_table(lexicon: EntityLexicon):
+        rng = random.Random(8)
+        tokens = sorted({f for forms in lexicon.entries.values() for f in forms
+                         if " " not in f} | {f"extra{i}" for i in range(20)})
+        return load_embeddings("".join(
+            token + "".join(f" {rng.uniform(-1, 1):.4f}" for _ in range(8)) + "\n"
+            for token in tokens))
+
+    @pytest.mark.parametrize("with_table", [False, True], ids=["plain", "table"])
+    @pytest.mark.parametrize("world", ["ground truth", "random tree"])
+    def test_recording_draws_what_a_batch_draws(self, world, with_table):
+        if world == "ground truth":
+            trees, lexicon = ground_truth_world()
+        else:
+            # every node kind, seven dropouts and a two-token form
+            trees, lexicon = {"random": random_tree(11)}, small_lexicon()
+        table = self.small_table(lexicon) if with_table else None
+        config = cfg(seed=21, count=150, use_embeddings=with_table, k=3)
+        out = generate_batch(trees, None, config, table, lexicon=lexicon)
+        assert (out.stats.knn_fills > 0) == with_table
+        batch = list(out)
+        for intent in sorted(trees):
+            rng = random.Random(generator._intent_seed(config.seed, intent))
+            recorded = [generate_one(trees[intent], lexicon, table, config, rng)[0]
+                        for _ in range(config.count)]
+            assert recorded == [s for s in batch if s.intent == intent]
+
+    @staticmethod
+    def deepest_tree(intent: str) -> East:
+        """A tree nested MAX_DEPTH levels deep with dropout on every control
+        node, whose deepest phrase is drawn in about a quarter of the draws."""
+        node = fixed({"deepest": 1, "bottom": 1}, weight=0.99)
+        for level in range(MAX_DEPTH - 1):
+            kind = (order, pick_one, exchangeable)[level % 3]
+            node = kind(node, fixed({f"w{level}": 1}, weight=0.01), weight=0.99,
+                        dropout=0.01)
+        return East(intent, order(node, entity("city"), dropout=0.01))
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_a_tree_at_the_depth_bound_samples(self, force_split, split):
+        trees = {intent: self.deepest_tree(intent) for intent in "abc"}
+        tree = trees["a"]
+        assert validate(tree) == []
+        assert max(path.count("[") for path, _ in iter_nodes(tree)) == MAX_DEPTH
+        lexicon = small_lexicon()
+        children = force_split() if split else []
+        batch = generate_batch(trees, None, cfg(count=2000), lexicon=lexicon)
+        assert len(children) == (2 if split else 0)
+        assert sum("deepest" in s.tokens or "bottom" in s.tokens for s in batch) > 1000
+        rng = random.Random(3)
+        drawn = [generate_one(tree, lexicon, None, cfg(), rng) for _ in range(200)]
+        assert any("deepest" in s.tokens for s, _ in drawn)
         assert_no_child_left()
 
 
