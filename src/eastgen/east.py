@@ -1,5 +1,4 @@
-"""Entity-aware syntax tree model: validation and JSON round trip; each
-node also carries the static facts the generator samples.
+"""Entity-aware syntax tree model: validation and JSON round trip.
 
 A tree has one intent and an ordered node structure. Control nodes steer
 traversal (order = concatenate children, pickone = choose one child,
@@ -11,8 +10,7 @@ Every node carries a weight in (0, 1] and an optional dropout in [0, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from .corpus import FLOAT_MAX, is_intent, is_phrase, is_token, json_fault
@@ -45,27 +43,6 @@ class Node:
     children: tuple["Node", ...] = ()
     dictionary: dict[str, int] | None = None
     slot: str | None = None
-    # derived for the sampler: cumulative pickone child weights or fixed
-    # phrase counts, and per fixed phrase its tokens with matching "O" tags
-    cum: tuple = field(init=False, repr=False, compare=False)
-    phrases: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # a non-number among the values, or a phrase that is not a str, is
-        # left to validate() to report
-        cum = phrases = ()
-        if self.kind == PICKONE:
-            weights = [c.weight for c in self.children]
-            if all(map(_is_number, weights)):
-                cum = tuple(accumulate(weights))
-        elif self.kind == FIXED and self.dictionary:
-            if all(map(_is_number, self.dictionary.values())):
-                cum = tuple(accumulate(self.dictionary.values()))
-            if all(isinstance(p, str) for p in self.dictionary):
-                phrases = tuple((tuple(p.split(" ")), ("O",) * (p.count(" ") + 1))
-                                for p in self.dictionary)
-        object.__setattr__(self, "cum", cum)
-        object.__setattr__(self, "phrases", phrases)
 
 
 def order(*children: Node, weight: float = 1.0, dropout: float | None = None) -> Node:
@@ -172,7 +149,8 @@ def validate(tree: East) -> list[str]:
                         f"{path}: phrase {phrase!r} count {count!r} "
                         "is not an integer >= 1"
                     )
-            if node.cum and node.cum[-1] > FLOAT_MAX:  # the draw total
+            counts = (node.dictionary or {}).values()
+            if all(map(_is_number, counts)) and sum(counts) > FLOAT_MAX:  # the draw total
                 violations.append(f"{path}: phrase counts total beyond the float range")
         elif node.kind == ENTITY:
             if node.slot and not is_token(node.slot):

@@ -12,10 +12,10 @@ similarity (the form itself weighs 1.0).
 
 Each intent's tree is compiled once per batch (once per `generate_one`
 call) into nested closures: a node's kind, dropout and phrase count are
-dispatched on when it is compiled, never at a draw, and each closure
-reads the cumulative weights and pre-split phrases its `Node` derived
-when it was built. The entity fill tables and kNN pools the draws use are
-built once per batch, in each process that samples it.
+dispatched on, and its cumulative weights and pre-split phrases derived,
+when it is compiled, never at a draw. The entity fill tables and kNN
+pools the draws use are built once per batch, in each process that
+samples it.
 A draw is the `AnnotatedSentence` that parsing returns. Only
 `generate_one` records provenance (the branch choices taken); recording
 consumes no randomness of its own, so it draws what a batch draws.
@@ -230,15 +230,17 @@ class _Fills:
 def _compile(node: Node, fills: _Fills, random, prov: list[str] | None):
     """Return a closure `sample(tokens, tags)` that appends one traversal of
     the tree under `node` to the two lists, appending branch choices to
-    `prov` unless it is None. Each node's kind is dispatched on here, once;
-    a draw consumes random() in the order of a left-to-right expansion. A
-    dropout of None or 0 never drops its node.
+    `prov` unless it is None. Each node's kind is dispatched on and its
+    draw tables derived here, once; a draw consumes random() in the order
+    of a left-to-right expansion. A dropout of None or 0 never drops its node.
     """
     kind = node.kind
     if kind in (ORDER, PICKONE, EXCHANGEABLE):
         parts = [_compile(child, fills, random, prov) for child in node.children]
-    if kind == FIXED and len(node.phrases) == 1:
-        (phrase_tokens, phrase_tags), = node.phrases
+    if kind == FIXED and len(node.dictionary) == 1:
+        phrase, = node.dictionary
+        phrase_tokens = phrase.split(" ")
+        phrase_tags = ("O",) * len(phrase_tokens)
 
         def sample(tokens, tags):
             if prov is not None:
@@ -246,7 +248,8 @@ def _compile(node: Node, fills: _Fills, random, prov: list[str] | None):
             tokens += phrase_tokens
             tags += phrase_tags
     elif kind == FIXED:
-        cum, phrases = node.cum, node.phrases
+        cum = tuple(accumulate(node.dictionary.values()))
+        phrases = [(p.split(" "), ("O",) * (p.count(" ") + 1)) for p in node.dictionary]
 
         def sample(tokens, tags):
             j = _draw(cum, random)
@@ -271,7 +274,7 @@ def _compile(node: Node, fills: _Fills, random, prov: list[str] | None):
             for part in parts:
                 part(tokens, tags)
     elif kind == PICKONE:
-        cum = node.cum
+        cum = tuple(accumulate(c.weight for c in node.children))
 
         def sample(tokens, tags):
             i = _draw(cum, random)
@@ -310,7 +313,8 @@ def generate_one(
     rng: random.Random,
 ) -> tuple[AnnotatedSentence, tuple[str, ...]]:
     """Sample one labeled sentence by a weighted traversal of the tree, and
-    return it with its provenance: the branch choices taken."""
+    return it with its provenance: the branch choices taken. The tree is
+    not checked; call validate() first on a tree built in code."""
     prov: list[str] = []
     tokens, tags = [], []
     _compile(tree.root, _Fills(lexicon, table, config), rng.random, prov)(tokens, tags)

@@ -1,7 +1,7 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -230,24 +230,35 @@ class TestCountTotals:
         assert lexicon.entries["city"]["a"] == int(FLOAT_MAX)
 
 
-class TestDerivedFields:
-    def test_replace_recomputes_cumulative_weights(self):
-        pick = pick_one(fixed({"a": 1}, weight=0.5), fixed({"b": 1}, weight=0.5))
-        moved = replace(
-            pick, children=(fixed({"a": 1}, weight=0.25), fixed({"b": 1}, weight=0.75))
-        )
-        assert moved.cum == (0.25, 1.0)
-        assert pick.cum == (0.5, 1.0)
+class TestNodeIsItsDocument:
+    def test_node_fields_are_the_document_fields(self):
+        names = [f.name for f in fields(Node)]
+        assert names == ["kind", "weight", "dropout", "children", "dictionary", "slot"]
+        assert "__post_init__" not in vars(Node)
 
-    def test_replace_recomputes_phrases(self):
-        node = replace(fixed({"a": 1}), dictionary={"new york": 2, "oslo": 3})
-        assert node.cum == (2, 5)
-        assert node.phrases == ((("new", "york"), ("O", "O")), (("oslo",), ("O",)))
-
-    def test_derived_fields_stay_out_of_equality_and_repr(self):
+    def test_equal_documents_make_equal_nodes(self):
         node = fixed({"a b": 1})
         assert node == Node("fixed", dictionary={"a b": 1})
-        assert "cum" not in repr(node) and "phrases" not in repr(node)
+
+    def test_phrase_added_in_place_is_drawn(self):
+        node = fixed({"a": 1})
+        node.dictionary["b"] = 1
+        tree = East("x", order(node))
+        assert validate(tree) == []
+        config = GenerationConfig(seed=3, count=1000, use_embeddings=False)
+        drawn = generate_batch({"x": tree}, None, config, lexicon=EntityLexicon())
+        counts = Counter(s.tokens for s in drawn)
+        assert set(counts) == {("a",), ("b",)}
+        assert counts[("b",)] / len(drawn) == pytest.approx(0.5, abs=0.06)
+
+    def test_count_beyond_float_range_added_in_place_rejected(self):
+        node = fixed({"a": 1})
+        tree = East("x", order(node))
+        assert validate(tree) == []
+        node.dictionary["b"] = 10**400
+        assert validate(tree) == [
+            "root.children[0]: phrase counts total beyond the float range"
+        ]
 
     def test_replaced_tree_samples_new_weights(self):
         pick = pick_one(fixed({"a": 1}, weight=0.5), fixed({"b": 1}, weight=0.5))
@@ -258,6 +269,13 @@ class TestDerivedFields:
         drawn = generate_batch({"x": East("x", moved)}, None, config, lexicon=EntityLexicon())
         share = Counter(s.tokens for s in drawn)[("b",)] / len(drawn)
         assert share == pytest.approx(0.9, abs=0.03)
+
+        node = replace(fixed({"a": 1}), dictionary={"new york": 1, "oslo": 3})
+        drawn = generate_batch({"x": East("x", order(node))}, None, config,
+                               lexicon=EntityLexicon())
+        counts = Counter(s.tokens for s in drawn)
+        assert set(counts) == {("new", "york"), ("oslo",)}
+        assert counts[("oslo",)] / len(drawn) == pytest.approx(0.75, abs=0.03)
 
     def test_omitted_weights_are_sampled_at_their_shares(self):
         doc = json.dumps(
@@ -274,7 +292,7 @@ class TestDerivedFields:
             }
         )
         tree = deserialize(doc)
-        assert tree.root.cum == pytest.approx((0.5, 0.75, 1.0))
+        assert [c.weight for c in tree.root.children] == pytest.approx([0.5, 0.25, 0.25])
         config = GenerationConfig(seed=5, count=8000, use_embeddings=False)
         drawn = generate_batch({"x": tree}, None, config, lexicon=EntityLexicon())
         counts = Counter(s.tokens[0] for s in drawn)
