@@ -150,7 +150,11 @@ def validate(tree: East) -> list[str]:
                         "is not an integer >= 1"
                     )
             counts = (node.dictionary or {}).values()
-            if all(map(_is_number, counts)) and sum(counts) > FLOAT_MAX:  # the draw total
+            try:  # the draw total: a float plus an int beyond its range overflows
+                beyond = all(map(_is_number, counts)) and sum(counts) > FLOAT_MAX
+            except OverflowError:
+                beyond = True
+            if beyond:
                 violations.append(f"{path}: phrase counts total beyond the float range")
         elif node.kind == ENTITY:
             if node.slot and not is_token(node.slot):

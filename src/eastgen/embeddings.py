@@ -2,11 +2,12 @@
 
 The file format is the common text convention: one ``token v1 v2 ... vD``
 row per line, space-separated, no header. Nearest-neighbor lookups are
-exact, with no approximate indexing: one GEMM per block of queries
-short-lists the rows near each query's k-th score, and only those are
+exact, with no approximate indexing: GEMMs over bounded row chunks of the
+table short-list the rows near each query's k-th score, and only those are
 re-scored with a correctly rounded sum (after Johnson et al., "Billion-scale
 similarity search with GPUs", arXiv:1702.08734). Similarities and their
-order therefore do not depend on the BLAS build or the block a query is in.
+order therefore do not depend on the BLAS build, the chunks or the other
+queries of a call.
 
 A table is its tokens, their row index, the unit-normalized rows and the
 all-zero rows the parse skipped; the norms are taken only to check and
@@ -57,6 +58,9 @@ ZERO_ROW_WARNING = "skipping zero vector for token %r (line %d)"
 CACHE_FORMAT = 2
 CACHE_KEEP = 3  # entries kept, the most recently used
 STALE_WRITE_S = 3600  # an unfinished entry this old was left by a killed process
+# k_nearest_block scores queries against candidates in row chunks of at most
+# this many bytes of float64 scores
+SCORE_CHUNK_BYTES = 4 << 20
 
 
 @dataclass
@@ -311,14 +315,19 @@ def k_nearest_block(
     order of (-similarity, token); candidates are every row, or only the
     in-vocabulary tokens of `among`.
 
-    One GEMM scores the block against the candidates, in len(queries) x
-    candidates x 8 bytes, so callers bound the block. A GEMM score is off the
-    exact dot product of two unit rows by at most about D x eps / 2 and
-    ``math.fsum(unit[i] * q)``, a correctly rounded sum of correctly rounded
-    products, by at most eps. So every candidate within 2 x (D + 2) x eps of a
-    query's k-th GEMM score is kept and re-scored with ``fsum``, and the
-    result is exact: the same whatever the block, the BLAS build or its
-    kernel. Raises OutOfVocabularyError for the first query without a vector.
+    GEMMs score the queries against the candidates one row chunk at a time,
+    into one buffer of at most SCORE_CHUNK_BYTES (a chunk has at least k + 1
+    rows), so any number of queries share one pass over the table. A GEMM
+    score is off the exact dot product of two unit rows by at most about
+    D x eps / 2 and ``math.fsum(unit[i] * q)``, a correctly rounded sum of
+    correctly rounded products, by at most eps. So every candidate within
+    2 x (D + 2) x eps of a query's k-th GEMM score is re-scored with
+    ``fsum``, and the result is exact: the same whatever the queries, the
+    chunks, the BLAS build or its kernel. To find those candidates, a chunk
+    keeps the ones within the margin of the best k-th score of the chunks
+    before it (the first chunk: of its own), which is no higher than the
+    k-th over all chunks; the kept are then cut at their own k-th score.
+    Raises OutOfVocabularyError for the first query without a vector.
     """
     import numpy as np
 
@@ -329,23 +338,57 @@ def k_nearest_block(
             raise OutOfVocabularyError(query)
     unit = table.unit
     rows = np.array([table.index[q] for q in queries], dtype=np.intp)
+    # the candidates' rows, and each query's place among them (-1: none)
     if among is None:
-        candidates = np.arange(len(table.tokens))
-        scores = unit[rows] @ unit.T
+        candidates, own = np.arange(len(table.tokens)), rows
     else:
-        in_table = (table.index[t] for t in dict.fromkeys(among) if t in table.index)
-        candidates = np.fromiter(in_table, dtype=np.intp)
-        scores = unit[rows] @ unit[candidates].T
-    scores[candidates[None, :] == rows[:, None]] = -np.inf  # no query is its own neighbor
+        position: dict[int, int] = {}  # row -> its place among the candidates
+        for token in among:
+            if token in table.index:
+                position.setdefault(table.index[token], len(position))
+        candidates = np.fromiter(position, dtype=np.intp, count=len(position))
+        own = np.array([position.get(row, -1) for row in rows.tolist()], dtype=np.intp)
+    if not len(rows) or not len(candidates):
+        return [[] for _ in queries]
     margin = 2 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
+    step = max(SCORE_CHUNK_BYTES // (8 * len(rows)), k + 1)
+    # every chunk's scores, and which of them are kept, reuse two buffers
+    size = len(rows) * min(step, len(candidates))
+    buffer, keep = np.empty(size), np.empty(size, dtype=bool)
+    targets = unit[rows]
+    # each query's best k-th GEMM score of a chunk so far: no higher than its
+    # k-th over all chunks, and below every score until a chunk sets it
+    bound = np.full(len(rows), -2.0)
+    kept_at, kept_row, kept_sim = [], [], []
+    for start in range(0, len(candidates), step):
+        chunk = candidates[start:start + step]
+        scores = buffer[:len(rows) * len(chunk)].reshape(len(rows), -1)
+        block = unit[start:start + step] if among is None else unit[chunk]
+        np.matmul(targets, block.T, out=scores)
+        mine = np.flatnonzero((own >= start) & (own < start + len(chunk)))
+        scores[mine, own[mine] - start] = -np.inf  # no query is its own neighbor
+        ranked = len(chunk) > k  # then each query's k-th score in it is finite
+        if ranked and not start:  # a row at a time: the kept are taken from these scores
+            bound = np.fromiter((np.partition(sims, -k)[-k] for sims in scores), float, len(rows))
+        mask = np.greater_equal(scores, (bound - margin)[:, None],
+                                out=keep[:scores.size].reshape(scores.shape))
+        at, col = np.divmod(np.flatnonzero(mask), len(chunk))  # 2-D nonzero is slower
+        kept_at.append(at)
+        kept_row.append(chunk[col])
+        kept_sim.append(scores[at, col])
+        if ranked and start:  # in place, now that the kept are taken
+            scores.partition(-k, axis=1)
+            np.maximum(bound, scores[:, -k], out=bound)
 
+    at, kept_row, kept_sim = map(np.concatenate, (kept_at, kept_row, kept_sim))
+    order = np.argsort(at, kind="stable")
+    ends = np.cumsum(np.bincount(at, minlength=len(rows))).tolist()
     results = []
-    for row, sims in zip(rows.tolist(), scores):
-        if len(sims) > k:  # then the k-th score is finite
-            kept = candidates[sims >= np.partition(sims, -k)[-k] - margin]
-        else:
-            kept = candidates[sims > -np.inf]
-        exact = map(math.fsum, (unit[kept] * unit[row]).tolist())
-        scored = sorted(zip(exact, kept.tolist()), key=lambda si: (-si[0], table.tokens[si[1]]))
+    for row, begin, end in zip(rows.tolist(), [0] + ends, ends):
+        sims, near = kept_sim[order[begin:end]], kept_row[order[begin:end]]
+        if len(sims) > k:  # the k-th score of these is the k-th over all chunks
+            near = near[sims >= np.partition(sims, -k)[-k] - margin]
+        exact = map(math.fsum, (unit[near] * unit[row]).tolist())
+        scored = sorted(zip(exact, near.tolist()), key=lambda si: (-si[0], table.tokens[si[1]]))
         results.append([(table.tokens[i], sim) for sim, i in scored[:k]])
     return results

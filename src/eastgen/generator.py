@@ -15,7 +15,10 @@ call) into nested closures: a node's kind, dropout and phrase count are
 dispatched on, and its cumulative weights and pre-split phrases derived,
 when it is compiled, never at a draw. The entity fill tables and kNN
 pools the draws use are built once per batch, in each process that
-samples it.
+samples it. A batch with at least as many draws as pools builds every
+pool before it samples, in one k_nearest_block call (one per slot for
+lexicon neighbors), so the embedding table is scored in one pass; a
+smaller batch builds the pools it draws, QUERY_BLOCK forms at a time.
 A draw is the `AnnotatedSentence` that parsing returns. Only
 `generate_one` records provenance (the branch choices taken); recording
 consumes no randomness of its own, so it draws what a batch draws.
@@ -35,12 +38,12 @@ CPU count. It forks only when no embedding table is in use, the batch has
 at least PARALLEL_MIN_DRAWS draws (a fork costs milliseconds, which a
 smaller batch barely wins back), the process may run on more than one CPU,
 and no second thread is running (a fork copies no thread, but may copy a
-lock one holds). With embeddings, sampling stays serial: kNN pools are
-built lazily, every process would build its own, and the extra queries
-cost more than the split saves. Forking is only a fast path: on any
-failure of it the whole batch is sampled again in this process, the one
-path that returns the results or raises (at the first failing intent in
-sorted order).
+lock one holds). With embeddings, sampling stays serial: even with every
+pool built before the fork, a child pickles back a share whose draws are
+mostly distinct, which costs what the split saves. Forking is only a fast
+path: on any failure of it the whole batch is sampled again in this
+process, the one path that returns the results or raises (at the first
+failing intent in sorted order).
 
 Randomness comes from a caller-seeded Mersenne Twister (random.Random);
 only Random.random() is consumed, so byte-identical output for a given
@@ -67,14 +70,17 @@ from typing import Iterable, TextIO
 
 from .corpus import (
     INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon, check_lexicon_entry, is_count,
+    is_token,
 )
-from .east import East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, validate
+from .east import (
+    East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, entity_slots, validate,
+)
 from .embeddings import EmbeddingTable, k_nearest_block
 from .errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
 
 OUTPUT_FORMATS = ("conll", "records")
-# kNN pools are built this many queries at a time: one GEMM's scores take
-# QUERY_BLOCK x table rows x 8 bytes (3.2 MB at 25,000 rows)
+# a batch with fewer draws than kNN pools builds them this many queries at a
+# time, each block a pass over the embedding table
 QUERY_BLOCK = 16
 # generate_batch forks only for a batch of at least this many draws
 PARALLEL_MIN_DRAWS = 10_000
@@ -158,8 +164,9 @@ def _draw(cum: Sequence[float], random) -> int:
 
 class _Fills:
     """Per-slot form tables (cumulative counts, a (tokens, tags) pair per
-    form) and kNN pools, built on first use and shared by a batch's intents;
-    a pool depends only on its candidate (and slot, for lexicon neighbors).
+    form) and kNN pools, built before sampling or on first use and shared
+    by a batch's intents; a pool depends only on its candidate (and slot,
+    for lexicon neighbors).
     The counters tally the substitutions of every draw made with it.
     """
 
@@ -184,25 +191,41 @@ class _Fills:
         )
         return entry
 
-    def load_pools(self, slot: str, candidate: str) -> dict:
-        """Build the pools of one query block: `candidate` and up to
-        QUERY_BLOCK - 1 more of the slot's single-token, in-vocabulary forms
-        that have none yet, in lexicon order. A pool takes no randomness and
-        is exact in any block, so which forms share a block changes nothing.
+    def unpooled(self, slot: str) -> list[str]:
+        """The single-token, in-vocabulary forms of `slot` that have no pool
+        yet, in lexicon order."""
+        within, forms = self.config.neighbors_within_lexicon, self.lexicon.entries.get(slot)
+        if not isinstance(forms, dict):  # none, or malformed: its first draw raises
+            return []
+        return [f for f in forms if is_token(f) and f in self.table
+                and ((slot, f) if within else f) not in self.pools]
+
+    def prebuild_pools(self, slots: Iterable[str], draws: int) -> None:
+        """Build the pools of every form of `slots` in one k_nearest_block
+        call (one per slot for lexicon neighbors) when a batch of `draws`
+        draws has no more pools than draws; a smaller batch builds the pools
+        it draws as it draws them, QUERY_BLOCK at a time.
+        """
+        if self.config.neighbors_within_lexicon:
+            blocks = {slot: self.unpooled(slot) for slot in slots}
+        else:  # a form's pool serves every slot that draws it
+            blocks = {None: list(dict.fromkeys(f for s in slots for f in self.unpooled(s)))}
+        if draws >= sum(map(len, blocks.values())):
+            for slot, forms in blocks.items():
+                if forms:
+                    self.load_pools(slot, forms)
+
+    def load_pools(self, slot: str | None, queries: list[str]) -> dict:
+        """Build the pools of `queries`, forms of `slot` (which only lexicon
+        neighbors need), in one k_nearest_block call. A pool takes no
+        randomness and is exact in any call, so which forms share one
+        changes nothing.
         """
         within = self.config.neighbors_within_lexicon
-        singles = [f for f in self.lexicon.entries[slot] if " " not in f]
-        block = [candidate]
-        for form in singles:
-            if len(block) == QUERY_BLOCK:
-                break
-            if (form != candidate and form in self.table
-                    and ((slot, form) if within else form) not in self.pools):
-                block.append(form)
-        blocks = k_nearest_block(self.table, block, self.config.k,
-                                 singles if within else None)
-        for query, neighbors in zip(block, blocks):
-            kept = [(t, sim) for t, sim in neighbors if sim > 0.0]  # sims are weights
+        among = [f for f in self.lexicon.entries[slot] if " " not in f] if within else None
+        neighbors = k_nearest_block(self.table, queries, self.config.k, among)
+        for query, near in zip(queries, neighbors):
+            kept = [(t, sim) for t, sim in near if sim > 0.0]  # sims are weights
             self.pools[(slot, query) if within else query] = (
                 tuple(accumulate([1.0] + [sim for _, sim in kept])),
                 ((query,),) + tuple((t,) for t, _ in kept),
@@ -219,7 +242,10 @@ class _Fills:
             self.oov_bypasses += 1
             return tokens
         key = (slot, candidate) if self.config.neighbors_within_lexicon else candidate
-        pool = self.pools.get(key) or self.load_pools(slot, candidate)[key]
+        pool = self.pools.get(key)
+        if pool is None:  # a block: the candidate, then other forms without a pool
+            others = [f for f in self.unpooled(slot) if f != candidate]
+            pool = self.load_pools(slot, [candidate] + others[:QUERY_BLOCK - 1])[key]
         cum, choices = pool
         i = _draw(cum, random)
         if i:
@@ -468,6 +494,9 @@ def generate_batch(
         else:
             raise MissingTrainingSizeError(intent)
     fills = _Fills(lexicon, table, config)
+    if fills.table is not None:
+        slots = set().union(*map(entity_slots, trees.values()))
+        fills.prebuild_pools(sorted(slots), sum(counts.values()))
     results = _sample_forked(trees, counts, fills)
     if results is None:  # any failure samples again here, which returns or raises
         results = _sample(counts, trees, counts, fills)

@@ -209,6 +209,14 @@ class TestCountTotals:
         with pytest.raises(TreeValidationError):
             deserialize(serialize(tree))
 
+    def test_float_beside_a_count_beyond_float_range_rejected(self):
+        # 10**400 + 1.5 has no float value: the total overflows, not the check
+        tree = East("x", order(fixed({"a": 10**400, "b": 1.5})))
+        assert validate(tree) == [
+            "root.children[0]: phrase 'b' count 1.5 is not an integer >= 1",
+            "root.children[0]: phrase counts total beyond the float range",
+        ]
+
     def test_fixed_counts_at_float_max_sample(self):
         counts = {"a": int(FLOAT_MAX) - 1, "b": 1}  # total exactly FLOAT_MAX
         tree = deserialize(serialize(East("x", order(fixed(counts)))))

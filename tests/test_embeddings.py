@@ -540,15 +540,33 @@ class TestExactScorer:
             disagreements += [t for t, _ in naive] != [t for t, _ in expected]
         assert disagreements > 0  # the fixture does separate the two orders
 
-    def test_block_size_changes_nothing(self, near_tie_table, tie_table):
+    def test_block_size_changes_nothing(self, near_tie_table, tie_table, monkeypatch):
+        scored = []  # the shape of each chunk's scores
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            scored.append(out.shape)
+            return matmul(a, b, out=out)
+
         for table in (near_tie_table, tie_table):
             queries = table.tokens[:48]
-            whole = k_nearest_block(table, queries, 6)
-            for size in (1, 16):
-                blocks = [k_nearest_block(table, queries[i:i + size], 6)
-                          for i in range(0, len(queries), size)]
-                assert [r for block in blocks for r in block] == whole
-            assert whole == [_exact_knn(table, q, 6) for q in queries]
+            for among in (None, table.tokens[::3] + ["unknown"]):
+                monkeypatch.setattr(embeddings, "SCORE_CHUNK_BYTES", 1 << 40)
+                whole = k_nearest_block(table, queries, 6, among)  # one chunk
+                for size in (1, 16):
+                    blocks = [k_nearest_block(table, queries[i:i + size], 6, among)
+                              for i in range(0, len(queries), size)]
+                    assert [r for block in blocks for r in block] == whole
+                assert whole == [_exact_knn(table, q, 6, among) for q in queries]
+                # 7 rows a chunk, the fewest for k = 6
+                monkeypatch.setattr(embeddings, "SCORE_CHUNK_BYTES", 8 * 48 * 7)
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "matmul", spy)
+                    scored.clear()
+                    assert k_nearest_block(table, queries, 6, among) == whole
+                assert len(scored) > 10
+                assert {shape[1] for shape in scored[:-1]} == {7}
+                assert scored[-1][1] <= 6  # the last chunk ranks nothing
 
     def test_among(self, tie_table):
         pool = tie_table.tokens[::3] + ["unknown", tie_table.tokens[3]]
@@ -574,6 +592,7 @@ class TestExactScorer:
 _KERNEL_CHILD = """
 import hashlib
 import numpy as np
+from eastgen import embeddings
 from eastgen.embeddings import EmbeddingTable, k_nearest, k_nearest_block
 matrix = np.random.default_rng(71).normal(size=(5000, 300))
 norms = np.linalg.norm(matrix, axis=1)
@@ -581,6 +600,8 @@ tokens = [f"t{i}" for i in range(5000)]
 table = EmbeddingTable(tokens, {t: i for i, t in enumerate(tokens)}, matrix / norms[:, None])
 result = [k_nearest(table, t, 10) for t in tokens[::50]]
 result += k_nearest_block(table, tokens[::125], 10)  # a GEMM with 40 rows
+embeddings.SCORE_CHUNK_BYTES = 8 * 400 * 64  # 64 rows a chunk, 79 chunks
+result += k_nearest_block(table, tokens[::12][:400], 10)
 print(hashlib.sha256(repr(result).encode()).hexdigest())
 """
 

@@ -34,8 +34,11 @@ from eastgen import (
 )
 from eastgen import generator
 from eastgen.east import MAX_DEPTH, iter_nodes, validate
+from eastgen.embeddings import k_nearest_block
 from eastgen.generator import OUTPUT_FORMATS, Batch
-from eastgen.errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
+from eastgen.errors import (
+    EastgenError, MissingLexiconError, MissingTrainingSizeError, TreeValidationError,
+)
 
 from helpers import (
     brute_force_knn,
@@ -178,22 +181,58 @@ class TestEmbeddingSubstitution:
             assert s.tokens[0] in {"tok0001", "tok0002", "tok0003"}
 
 
+    @pytest.mark.parametrize("forms, message", [
+        ({"tok0001": 1, 5: 1}, "lexicon: 'city' form 5: not single-space-joined tokens"),
+        (5, "lexicon: 'city': expected an object of {form: count}"),
+    ])
+    def test_malformed_entry_built_in_code_fails_at_its_draw(self, table, forms, message):
+        """Building every pool before sampling skips such an entry, so its
+        first draw raises the error a lexicon file would."""
+        tree = East("x", order(entity("city")))
+        config, lexicon = cfg(use_embeddings=True, count=50), EntityLexicon({"city": forms})
+        with pytest.raises(EastgenError) as err:
+            generate_batch({"x": tree}, None, config, table, lexicon=lexicon)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("within", [False, True])
     def test_query_block_size_changes_nothing(self, table, monkeypatch, within):
-        tree = East("x", order(entity("city"), fixed({"to": 1}), entity("city")))
+        """A batch with at least as many draws as pools builds them all in one
+        k_nearest_block call, one per slot for lexicon neighbors; a smaller
+        one builds them lazily, a block at a time. Either way, and for any
+        block size, the batch and its stats are those of lazy blocks."""
+        tree = East("x", order(entity("city"), fixed({"to": 1}), entity("town")))
         lexicon = EntityLexicon()
         for i in range(0, 400, 9):
             lexicon.add("city", f"tok{i:04d}")
+        for i in range(0, 400, 13):  # 4 forms are cities too
+            lexicon.add("town", f"tok{i:04d}")
         lexicon.add("city", "zzz-not-in-table")
         lexicon.add("city", "tok0001 tok0002")
-        config = cfg(use_embeddings=True, count=300, k=4, neighbors_within_lexicon=within)
-        runs = []
-        for size in (1, 16, 1000):
-            monkeypatch.setattr(generator, "QUERY_BLOCK", size)
-            out = generate_batch({"x": tree}, None, config, table, lexicon=lexicon)
-            runs.append((out, out.stats.to_dict()))
-        assert runs[0] == runs[1] == runs[2]
-        assert runs[0][1]["knn_fills"] > 0
+        pools = 45 + 31 if within else 45 + 31 - 4
+        calls = []
+
+        def counting(table, queries, k, among=None):
+            calls.append(len(queries))
+            return k_nearest_block(table, queries, k, among)
+
+        monkeypatch.setattr(generator, "k_nearest_block", counting)
+        prebuild = generator._Fills.prebuild_pools
+        for count in (pools, 1):
+            config = cfg(use_embeddings=True, count=count, k=4, neighbors_within_lexicon=within)
+            runs = []
+            for lazy, size in [(True, 1), (True, 16), (False, 1), (False, 16), (False, 1000)]:
+                monkeypatch.setattr(generator, "QUERY_BLOCK", size)
+                monkeypatch.setattr(generator._Fills, "prebuild_pools",
+                                    (lambda *args: None) if lazy else prebuild)
+                calls.clear()
+                out = generate_batch({"x": tree}, None, config, table, lexicon=lexicon)
+                runs.append((out, out.stats.to_dict()))
+                if count == 1 or lazy:
+                    assert calls and max(calls) <= size and sum(calls) <= pools
+                else:
+                    assert calls == ([45, 31] if within else [pools])
+            assert all(run == runs[0] for run in runs)
+            assert runs[0][1]["knn_fills"] > 0
 
 
 class TestDistribution:
