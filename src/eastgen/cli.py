@@ -34,8 +34,7 @@ from .embeddings import (
     EmbeddingTable, file_sha256, iter_lines, load_cached, load_embeddings,
 )
 from .errors import (
-    EastgenError, EmbeddingFormatError, MissingLexiconError, TreeSchemaError,
-    TreeValidationError,
+    EastgenError, EmbeddingFormatError, TreeSchemaError, TreeValidationError,
 )
 from .generator import (
     GenerationConfig,
@@ -213,10 +212,9 @@ def _dump_lexicon(lexicon: EntityLexicon) -> str:
 
 
 def _check_lexicon_coverage(trees: dict[str, East], lexicon: EntityLexicon) -> None:
-    for intent, tree in trees.items():
+    for tree in trees.values():
         for slot in sorted(entity_slots(tree)):
-            if not lexicon.forms(slot):
-                raise MissingLexiconError(slot)
+            lexicon.entry(slot)
 
 
 # --- commands ---------------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import (
     CorpusValidationError,
     EastgenError,
     EmptyDatasetError,
+    MissingLexiconError,
 )
 
 INTENT_HEADER = "# intent:"
@@ -86,6 +87,15 @@ class EntityLexicon:
 
     def add(self, label: str, surface: str, count: int = 1) -> None:
         self.entries.setdefault(label, Counter())[surface] += count
+
+    def entry(self, label: str) -> dict[str, int]:
+        """The {form: count} entry of `label`, checked as parse_lexicon checks
+        a file's; MissingLexiconError when it is absent or empty."""
+        if label in self.entries:
+            check_lexicon_entry(label, self.entries[label])
+        if not self.entries.get(label):
+            raise MissingLexiconError(label)
+        return self.entries[label]
 
     def forms(self, label: str) -> list[str]:
         """Distinct surface forms for a slot, in first-observed order."""

@@ -69,14 +69,13 @@ from types import MappingProxyType
 from typing import Iterable, TextIO
 
 from .corpus import (
-    INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon, check_lexicon_entry, is_count,
-    is_token,
+    INTENT_HEADER, AnnotatedSentence, Dataset, EntityLexicon, is_count,
 )
 from .east import (
     East, ENTITY, EXCHANGEABLE, FIXED, Node, ORDER, PICKONE, entity_slots, validate,
 )
 from .embeddings import EmbeddingTable, k_nearest_block
-from .errors import MissingLexiconError, MissingTrainingSizeError, TreeValidationError
+from .errors import MissingTrainingSizeError, TreeValidationError
 
 OUTPUT_FORMATS = ("conll", "records")
 # a batch with fewer draws than kNN pools builds them this many queries at a
@@ -165,8 +164,8 @@ def _draw(cum: Sequence[float], random) -> int:
 class _Fills:
     """Per-slot form tables (cumulative counts, a (tokens, tags) pair per
     form) and kNN pools, built before sampling or on first use and shared
-    by a batch's intents; a pool depends only on its candidate (and slot,
-    for lexicon neighbors).
+    by a batch's intents. Pools are derived from the form tables alone and
+    keyed by (scope, form): see `scope`.
     The counters tally the substitutions of every draw made with it.
     """
 
@@ -177,56 +176,52 @@ class _Fills:
         self.config = config
         self.knn_fills = self.oov_bypasses = self.multi_token_bypasses = 0
         self.forms: dict[str, tuple[tuple[int, ...], tuple]] = {}
-        self.pools: dict = {}
+        self.pools: dict[tuple[str | None, str], tuple] = {}
 
     def load_forms(self, slot: str) -> tuple[tuple[int, ...], tuple]:
-        counter = self.lexicon.entries.get(slot)
-        if not counter:
-            raise MissingLexiconError(slot)
-        check_lexicon_entry(slot, counter)
+        counter = self.lexicon.entry(slot)
         forms = [tuple(form.split(" ")) for form in counter]
-        entry = self.forms[slot] = (
-            tuple(accumulate(counter.values())),
-            tuple((t, (f"B-{slot}",) + (f"I-{slot}",) * (len(t) - 1)) for t in forms),
-        )
-        return entry
+        tags = [(f"B-{slot}",) + (f"I-{slot}",) * (len(t) - 1) for t in forms]
+        self.forms[slot] = (tuple(accumulate(counter.values())), tuple(zip(forms, tags)))
+        return self.forms[slot]
+
+    def scope(self, slot: str) -> str | None:
+        """Whose forms a pool of `slot` searches: the slot's own for lexicon
+        neighbors, else (None) the whole table, so one pool serves every slot."""
+        return slot if self.config.neighbors_within_lexicon else None
 
     def unpooled(self, slot: str) -> list[str]:
         """The single-token, in-vocabulary forms of `slot` that have no pool
-        yet, in lexicon order."""
-        within, forms = self.config.neighbors_within_lexicon, self.lexicon.entries.get(slot)
-        if not isinstance(forms, dict):  # none, or malformed: its first draw raises
-            return []
-        return [f for f in forms if is_token(f) and f in self.table
-                and ((slot, f) if within else f) not in self.pools]
+        yet, in lexicon order; loads the slot's form table first."""
+        _, forms = self.forms.get(slot) or self.load_forms(slot)
+        scope = self.scope(slot)
+        return [t for (t, *more), _ in forms
+                if not more and t in self.table and (scope, t) not in self.pools]
 
     def prebuild_pools(self, slots: Iterable[str], draws: int) -> None:
-        """Build the pools of every form of `slots` in one k_nearest_block
-        call (one per slot for lexicon neighbors) when a batch of `draws`
-        draws has no more pools than draws; a smaller batch builds the pools
-        it draws as it draws them, QUERY_BLOCK at a time.
+        """Load the form table of every one of `slots`, then build the pools
+        of all their forms in one k_nearest_block call per scope when a batch
+        of `draws` draws has no more pools than draws; a smaller batch builds
+        the pools it draws as it draws them, QUERY_BLOCK at a time.
         """
-        if self.config.neighbors_within_lexicon:
-            blocks = {slot: self.unpooled(slot) for slot in slots}
-        else:  # a form's pool serves every slot that draws it
-            blocks = {None: list(dict.fromkeys(f for s in slots for f in self.unpooled(s)))}
+        blocks: dict[str | None, dict[str, None]] = {}
+        for slot in slots:
+            blocks.setdefault(self.scope(slot), {}).update(dict.fromkeys(self.unpooled(slot)))
         if draws >= sum(map(len, blocks.values())):
-            for slot, forms in blocks.items():
+            for scope, forms in blocks.items():
                 if forms:
-                    self.load_pools(slot, forms)
+                    self.load_pools(scope, list(forms))
 
-    def load_pools(self, slot: str | None, queries: list[str]) -> dict:
-        """Build the pools of `queries`, forms of `slot` (which only lexicon
-        neighbors need), in one k_nearest_block call. A pool takes no
-        randomness and is exact in any call, so which forms share one
-        changes nothing.
-        """
-        within = self.config.neighbors_within_lexicon
-        among = [f for f in self.lexicon.entries[slot] if " " not in f] if within else None
+    def load_pools(self, scope: str | None, queries: list[str]) -> dict:
+        """Build the pools of `queries` in `scope` in one k_nearest_block
+        call. A pool takes no randomness and is exact in any call, so which
+        forms share one changes nothing."""
+        among = None if scope is None else [t for (t, *more), _ in self.forms[scope][1]
+                                            if not more]
         neighbors = k_nearest_block(self.table, queries, self.config.k, among)
         for query, near in zip(queries, neighbors):
             kept = [(t, sim) for t, sim in near if sim > 0.0]  # sims are weights
-            self.pools[(slot, query) if within else query] = (
+            self.pools[(scope, query)] = (
                 tuple(accumulate([1.0] + [sim for _, sim in kept])),
                 ((query,),) + tuple((t,) for t, _ in kept),
             )
@@ -241,11 +236,11 @@ class _Fills:
         if candidate not in self.table:
             self.oov_bypasses += 1
             return tokens
-        key = (slot, candidate) if self.config.neighbors_within_lexicon else candidate
+        key = (self.scope(slot), candidate)
         pool = self.pools.get(key)
         if pool is None:  # a block: the candidate, then other forms without a pool
             others = [f for f in self.unpooled(slot) if f != candidate]
-            pool = self.load_pools(slot, [candidate] + others[:QUERY_BLOCK - 1])[key]
+            pool = self.load_pools(key[0], [candidate] + others[:QUERY_BLOCK - 1])[key]
         cum, choices = pool
         i = _draw(cum, random)
         if i:

@@ -20,12 +20,12 @@ from itertools import permutations
 from typing import Sequence
 
 from .corpus import (
-    INTENT_HEADER, EntityLexicon, check_lexicon_entry, is_intent, is_token, json_fault,
+    INTENT_HEADER, EntityLexicon, is_intent, is_token, json_fault,
 )
 from .east import (
     East, ENTITY, FIXED, Node, ORDER, PICKONE, may_expand_empty, validate,
 )
-from .errors import EastgenError, MissingLexiconError, TreeValidationError
+from .errors import EastgenError, TreeValidationError
 
 DIALECT_NOTE = (
     "anchored Python re: escaped literals, (?:...) groups, (?P<gN>...) "
@@ -72,10 +72,7 @@ class _Lowering:
         if node.kind == FIXED:
             return _alternation(sorted(_escape(p) for p in node.dictionary))
         if node.kind == ENTITY:
-            forms = self.lexicon.entries.get(node.slot)
-            if not forms:
-                raise MissingLexiconError(node.slot)
-            check_lexicon_entry(node.slot, forms)
+            forms = self.lexicon.entry(node.slot)
             name = f"g{len(self.groups)}"
             self.groups[name] = node.slot
             return f"(?P<{name}>" + "|".join(_escape(f) for f in sorted(forms)) + ")"

@@ -1,4 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +11,15 @@ from eastgen import (
     BuilderConfig,
     Dataset,
     EntityLexicon,
+    GenerationConfig,
     SentenceTemplate,
     build,
     build_dataset,
     determine_main_entities,
     entity_occurrence,
+    generate_batch,
     parse_conll,
+    serialize,
     validate,
 )
 from eastgen.east import (
@@ -25,7 +31,7 @@ from eastgen.east import (
     iter_nodes,
 )
 from eastgen.errors import TreeValidationError
-from helpers import enumerate_language
+from helpers import enumerate_language, random_tree, small_lexicon
 
 
 def sentence(intent, *pairs):
@@ -574,3 +580,73 @@ def test_built_trees_validate_and_conserve_weight(corpus):
             assert sum(c.weight for c in node.children) == pytest.approx(1.0, abs=1e-9)
         if node.dropout is not None:
             assert 0 <= node.dropout < 1
+
+
+# Metamorphic properties of the construction: changes to a corpus that must
+# leave every built tree as it is. Each corpus is sampled from two or three
+# random trees, one intent each, which share the slots city and color, and
+# is built at one of three thresholds.
+
+
+@st.composite
+def tree_corpora(draw):
+    """(a corpus sampled from random trees without its empty sentences, a
+    BuilderConfig)."""
+    seeds = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=3, unique=True))
+    trees = {
+        f"r{i}": random_tree(seed, max_depth=4, intent=f"r{i}") for i, seed in enumerate(seeds)
+    }
+    config = GenerationConfig(seed=draw(st.integers(0, 2**32)),
+                              count=draw(st.integers(5, 30)), use_embeddings=False)
+    corpus = [s for s in generate_batch(trees, None, config, lexicon=small_lexicon()) if s.tokens]
+    threshold = draw(st.sampled_from((0.35, 0.5, 0.65)))
+    return corpus, BuilderConfig(main_entity_threshold=threshold)
+
+
+def gcd_scaled(node):
+    """`node` with each fixed node's counts divided by their gcd."""
+    if node.dictionary is not None:
+        divisor = reduce(gcd, node.dictionary.values())
+        return replace(node, dictionary={p: n // divisor for p, n in node.dictionary.items()})
+    return replace(node, children=tuple(map(gcd_scaled, node.children)))
+
+
+def built(corpus, config, scale=False) -> dict[str, str]:
+    """Each intent's serialized tree built from `corpus` (none when it is
+    empty), with every fixed node's counts divided by their gcd if `scale`."""
+    trees = build(build_dataset(corpus), config) if corpus else {}
+    return {
+        intent: serialize(replace(tree, root=gcd_scaled(tree.root)) if scale else tree)
+        for intent, tree in trees.items()
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_corpora())
+def test_an_intent_builds_alone_as_inside_its_corpus(case):
+    corpus, config = case
+    for intent, tree in built(corpus, config).items():
+        assert built([s for s in corpus if s.intent == intent], config) == {intent: tree}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_corpora(), st.randoms(use_true_random=False))
+def test_interleaving_the_intents_changes_no_tree(case, rng):
+    """The corpus is reordered across intents; each intent keeps its own order."""
+    corpus, config = case
+    turns = [s.intent for s in corpus]
+    rng.shuffle(turns)
+    queues = {intent: iter([s for s in corpus if s.intent == intent]) for intent in turns}
+    interleaved = [next(queues[intent]) for intent in turns]
+    assert built(interleaved, config) == built(corpus, config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_corpora(), st.sampled_from((2, 3, 7)))
+def test_repeating_every_sentence_k_times_scales_only_the_phrase_counts(case, k):
+    """Weights and dropouts are shares, so they stay; a fixed node's counts
+    are raw corpus counts, stored as they are, so the trees agree once each
+    fixed node's counts are divided by their gcd."""
+    corpus, config = case
+    repeated = [s for s in corpus for _ in range(k)]
+    assert built(repeated, config, scale=True) == built(corpus, config, scale=True)

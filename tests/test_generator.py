@@ -7,6 +7,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,12 +24,14 @@ from eastgen import (
     emit,
     entity,
     exchangeable,
+    export_regex,
     fixed,
     generate_batch,
     generate_one,
     load_embeddings,
     order,
     parse_conll,
+    parse_lexicon,
     parse_records,
     pick_one,
 )
@@ -181,18 +184,63 @@ class TestEmbeddingSubstitution:
             assert s.tokens[0] in {"tok0001", "tok0002", "tok0003"}
 
 
+    @pytest.mark.parametrize("within", [False, True])
+    @pytest.mark.parametrize("count", [50, 1])
     @pytest.mark.parametrize("forms, message", [
         ({"tok0001": 1, 5: 1}, "lexicon: 'city' form 5: not single-space-joined tokens"),
         (5, "lexicon: 'city': expected an object of {form: count}"),
     ])
-    def test_malformed_entry_built_in_code_fails_at_its_draw(self, table, forms, message):
-        """Building every pool before sampling skips such an entry, so its
-        first draw raises the error a lexicon file would."""
+    def test_malformed_entry_built_in_code_fails_before_sampling(
+            self, table, monkeypatch, forms, message, count, within):
+        """With a table, every slot's form table is loaded before any pool is
+        built, whether the batch then builds its pools (50 draws) or leaves
+        them to its draws (1), so such an entry raises the error a lexicon
+        file would before any intent is sampled. With lexicon neighbors it
+        ended in a TypeError from reading the raw entry for the pools."""
+        def sampled(*args):
+            raise AssertionError("sampled before the lexicon was checked")
+
+        monkeypatch.setattr(generator, "_compile", sampled)
         tree = East("x", order(entity("city")))
-        config, lexicon = cfg(use_embeddings=True, count=50), EntityLexicon({"city": forms})
+        config = cfg(use_embeddings=True, count=count, neighbors_within_lexicon=within)
         with pytest.raises(EastgenError) as err:
-            generate_batch({"x": tree}, None, config, table, lexicon=lexicon)
+            generate_batch({"x": tree}, None, config, table,
+                           lexicon=EntityLexicon({"city": forms}))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("doc", [
+        {}, {"city": {}}, {"city": 5}, {"city": []}, {"city": None}, {"city": {"tok0001": 0}},
+        {"city": {"tok0001": True}}, {"city": {"tok0001 ": 1}},
+        {"city": {"tok0001": 1, "tok0002  tok0003": 2}},
+    ], ids=["absent", "empty", "int", "list", "null", "zero count", "bool count",
+            "trailing space", "double space"])
+    def test_every_reader_of_an_entry_raises_what_a_lexicon_file_does(self, table, doc):
+        """generate_batch with and without a table, generate_one and
+        export_regex read a slot's entry only through EntityLexicon.entry: an
+        absent or empty entry raises MissingLexiconError naming the slot, and
+        a malformed one the error parse_lexicon raises for it in a file."""
+        try:
+            parse_lexicon(json.dumps(doc))
+            expected = MissingLexiconError("city")  # the file is valid but lacks the slot
+        except EastgenError as exc:
+            expected = exc
+        tree = East("x", order(fixed({"to": 1}), entity("city")))
+        batches = [cfg(count=5)] + [
+            cfg(use_embeddings=True, count=count, neighbors_within_lexicon=within)
+            for count in (5, 1) for within in (False, True)
+        ]
+        readers = [
+            *(partial(generate_batch, {"x": tree}, None, config, table) for config in batches),
+            lambda lexicon: generate_one(
+                tree, lexicon, table, cfg(use_embeddings=True), random.Random(1)),
+            partial(export_regex, tree),
+        ]
+        for read in readers:
+            with pytest.raises(EastgenError) as err:
+                read(lexicon=EntityLexicon(dict(doc)))
+            assert (type(err.value), str(err.value)) == (type(expected), str(expected)), read
+        if isinstance(expected, MissingLexiconError):
+            assert err.value.slot == "city"
 
     @pytest.mark.parametrize("within", [False, True])
     def test_query_block_size_changes_nothing(self, table, monkeypatch, within):

@@ -7,6 +7,9 @@ runs the CLI, and compares the sha256 of the corpus and of its
 `.stats.json` sidecar with values recorded before the sampler was
 rewritten. A mismatch means the random stream or the emitted bytes
 changed; only a change that declares new output may update these values.
+The `count-1` cases draw fewer sentences than there are kNN pools, so they
+pin the pools built lazily as draws need them; the other embedding cases
+build every pool before sampling.
 
 A second case pins `eastgen build` and `export-regex` on a corpus sampled
 from the same trees, so refactors of the builder and the regex exporter
@@ -42,7 +45,8 @@ from helpers import ground_truth_world, random_tree, small_lexicon
 COUNT = 300
 SEED = 20221104
 
-# (extra CLI arguments, corpus sha256, stats sha256)
+# (extra CLI arguments, corpus sha256, stats sha256); a case without --count
+# draws COUNT per intent
 GOLDEN = {
     "no-embeddings": (
         ["--no-embeddings"],
@@ -68,6 +72,18 @@ GOLDEN = {
         ["--neighbors-from-lexicon", "--weighted-lexicon"],
         "597c4f97cc8c8903ae32857f46afb7187f8e2b25408bfa67708d36ec470db7ed",
         "a1d9c3f40904069e3fc7bc10d3492de97401eb28cefe79b3fe79e6bc4853601d",
+    ),
+    # one draw per intent, fewer draws than kNN pools: the pools are built
+    # lazily, QUERY_BLOCK forms at a time, as in perfbench's gen-embed set-up
+    "embeddings-count-1": (
+        ["--count", "1"],
+        "30ad488d95c6689a640cd4439f2ffb3ccd6d91568bba060503e5d2b5ffe498e4",
+        "8b16a05a9f3dad4360b15e468fccb6a030cef20d0b780d5b2b4b38cd3bfd0c7a",
+    ),
+    "neighbors-from-lexicon-count-1": (
+        ["--count", "1", "--neighbors-from-lexicon"],
+        "a06c2899cc948fc4010f9582fe01833028a9bf1bd44fc337dcc5b245a45ca91e",
+        "55e14d0554bb585d84c4e12e179aea48c982f046c54e2003ed45e561b5904b12",
     ),
 }
 
@@ -130,9 +146,10 @@ def test_generate_digest_is_pinned(case, forked, inputs, tmp_path, force_split):
         "--trees", str(trees_dir),
         "--lexicon", str(lexicon_path),
         "--seed", str(SEED),
-        "--count", str(COUNT),
         "--out", str(out),
     ]
+    if "--count" not in extra:
+        args += ["--count", str(COUNT)]
     if "--no-embeddings" not in extra:  # the two options are mutually exclusive
         args += ["--embeddings", str(table_path)]
     assert main(args + extra) == 0
@@ -158,9 +175,8 @@ def test_generate_digests_hold_on_a_cache_hit(inputs, tmp_path, monkeypatch):
                     "--lexicon", str(lexicon_path),
                     "--embeddings", str(table_path),
                     "--seed", str(SEED),
-                    "--count", str(COUNT),
                     "--out", str(out),
-                ] + extra) == 0
+                ] + ([] if "--count" in extra else ["--count", str(COUNT)]) + extra) == 0
         stats = out.with_name(out.name + ".stats.json")
         assert (_sha256(out), _sha256(stats)) == (corpus_digest, stats_digest)
 

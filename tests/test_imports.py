@@ -1,8 +1,10 @@
-"""Every top-level import in `src/eastgen/` is used by its module.
+"""Checks on `src/eastgen/` that no linter makes, since none runs on it.
 
-No linter runs on the package, so an import left behind when the code that
-used it goes would otherwise stay. A module uses a name when it reads it
-anywhere in its code, annotations included, or lists it in `__all__`.
+Every top-level import is used by its module: an import left behind when the
+code that used it goes would otherwise stay. A module uses a name when it
+reads it anywhere in its code, annotations included, or lists it in
+`__all__`. Every private top-level name is read somewhere in the package.
+Outside `corpus.py`, only `cli._dump_lexicon` reads a lexicon's `.entries`.
 """
 
 import ast
@@ -94,3 +96,28 @@ def test_every_private_top_level_name_is_read_in_the_package():
             ):
                 dead.append(f"{name}:{definition.lineno}: {private}")
     assert dead == []
+
+
+# the one function outside corpus.py that may read a lexicon's `.entries`:
+# it writes the whole lexicon, so it checks no slot's entry
+ENTRIES_READERS = {("cli.py", "_dump_lexicon")}
+
+
+def test_only_corpus_reads_lexicon_entries():
+    """Sampling, regex export and the CLI take a slot's entry from
+    EntityLexicon.entry, which checks it; a second reader of `.entries`
+    would be a second rule for what a usable entry is."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        module = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = {
+            id(n) for s in module.body if (path.name, getattr(s, "name", None)) in ENTRIES_READERS
+            for n in ast.walk(s)
+        }
+        readers += [
+            f"{path.name}:{n.lineno}" for n in ast.walk(module)
+            if isinstance(n, ast.Attribute) and n.attr == "entries" and id(n) not in allowed
+        ]
+    assert readers == []
